@@ -46,4 +46,11 @@ class LedgerError(Ecol2Error):
 
 
 class SolverError(Ecol2Error):
-    """Numerical solve failed (blow-up, non-finite state)."""
+    """Numerical solve failed (blow-up, non-finite state).
+
+    row is the index of the failing row of a batched solve, else None.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row

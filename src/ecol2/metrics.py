@@ -8,6 +8,7 @@ dimensionless; emissions enter in kgCO2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,11 @@ class EcoL2Params:
             raise ParameterError(f"alpha must be finite and > 1, got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta >= 1):
             raise ParameterError(f"beta must be finite and >= 1, got {self.beta}")
-        if not (isinstance(self.n_infer, int) and self.n_infer >= 0):
+        if not (
+            isinstance(self.n_infer, int)
+            and not isinstance(self.n_infer, bool)
+            and self.n_infer >= 0
+        ):
             raise ParameterError(f"n_infer must be an integer >= 0, got {self.n_infer}")
 
     @property
@@ -104,13 +109,19 @@ class EcoL2Score:
     warnings: tuple[str, ...] = field(default=())
 
 
+def _finite_real(r) -> float:
+    """r as a float, if it is a finite real number (numpy scalars too, bool not)."""
+    if not (isinstance(r, numbers.Real) and not isinstance(r, bool) and math.isfinite(r)):
+        raise DomainError(f"r must be a finite number, got {r!r}")
+    return float(r)
+
+
 def ecol2_numerator(r: float, alpha: float) -> float:
     """Accuracy term 1 - exp(log_alpha r) for r in (0, 1).
 
     Equals 1 - r**(1/ln alpha) by change of base.
     """
-    if not (isinstance(r, (int, float)) and math.isfinite(r)):
-        raise DomainError(f"r must be a finite number, got {r!r}")
+    r = _finite_real(r)
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
     if not (math.isfinite(alpha) and alpha > 1.0):
@@ -130,8 +141,7 @@ def ecol2(
     epsilon and flagged rather than rejected; r >= 1 or r < 0 raise.
     """
     params = params or EcoL2Params()
-    if not (isinstance(r, (int, float)) and math.isfinite(r)):
-        raise DomainError(f"r must be a finite number, got {r!r}")
+    r = _finite_real(r)
     warnings: list[str] = []
     if r == 0.0:
         r = float(np.finfo(np.float64).eps)

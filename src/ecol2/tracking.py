@@ -278,7 +278,6 @@ class EmissionSession:
         self.intensity = intensity_g_per_kwh
         self.clock = clock if clock is not None else _WallClock()
         self._closed = False
-        self._holds_sampler = False
         self._thread = None
         self._stop_event = None
         self._samples: list[tuple[float, float]] = []
@@ -299,7 +298,6 @@ class EmissionSession:
                         "use rated:<W> or fixed:<W>"
                     )
                 _sampler_busy = True
-                self._holds_sampler = True
             self._reader = reader
             self._stop_event = threading.Event()
         self._t0 = self.clock.now()
@@ -326,7 +324,6 @@ class EmissionSession:
             global _sampler_busy
             with _sampler_guard:
                 _sampler_busy = False
-                self._holds_sampler = False
             trace = _power_trace(self._samples)
             energy_kwh = trapezoid_energy_kwh(trace)
         else:
@@ -361,7 +358,6 @@ class EmissionSession:
             global _sampler_busy
             with _sampler_guard:
                 _sampler_busy = False
-                self._holds_sampler = False
 
 
 def _power_trace(samples: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:

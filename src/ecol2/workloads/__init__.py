@@ -7,7 +7,7 @@ from .datasets import (
 from .finite_difference import fd_solve
 from .grids import FieldSolution, Grid1D, PdeCoefficients, default_grid, fourier_resample
 from .pipeline import WORKLOADS, PipelineResult, run_pipeline
-from .spectral import spectral_solve
+from .spectral import spectral_solve, spectral_solve_batch
 from ._backend import BACKEND
 
 __all__ = [
@@ -28,4 +28,5 @@ __all__ = [
     "generate_initial_condition",
     "run_pipeline",
     "spectral_solve",
+    "spectral_solve_batch",
 ]

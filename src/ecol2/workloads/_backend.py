@@ -8,13 +8,42 @@ without the extension is an error rather than a silent fallback.
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
+
+import numpy as np
 
 from . import _kernels_py
 
+_KERNELS = (
+    "spectral_evolve", "to_physical", "from_physical", "advection_upwind",
+    "advection_lax_wendroff", "wave_leapfrog", "reaction_rk4",
+)
+
+
+def _rowwise(module) -> SimpleNamespace:
+    """The compiled kernels, with spectral_evolve also taking a (count, n) stack.
+
+    The extension steps one 1-D state; a stack is stepped row by row.
+    """
+    evolve = module.spectral_evolve
+
+    def spectral_evolve(v, e_half, e_full, g, nsub):
+        if np.ndim(v) == 1:
+            return evolve(v, e_half, e_full, g, nsub)
+        rows = zip(*np.broadcast_arrays(v, e_half, e_full, g))
+        return np.stack([evolve(*row, nsub) for row in rows])
+
+    adapted = SimpleNamespace(**{name: getattr(module, name) for name in _KERNELS})
+    adapted.spectral_evolve = spectral_evolve
+    return adapted
+
+
 try:
-    from . import _kernels as _compiled
+    from . import _kernels
 except ImportError:
     _compiled = None
+else:
+    _compiled = _rowwise(_kernels)
 
 _requested = os.environ.get("ECOL2_BACKEND")
 

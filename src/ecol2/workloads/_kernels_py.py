@@ -15,7 +15,11 @@ def spectral_evolve(v, e_half, e_full, g, nsub):
     v is the FFT of the field; e_half/e_full are exp(L dt/2) and
     exp(L dt) for the linear symbol L; g bundles -i k dt / 2 with the
     dealias mask.  The nonlinear term is the conservative -(u^2/2)_x, so
-    g[0] == 0 and the mean mode never moves.
+    g[..., 0] == 0 and the mean mode never moves.
+
+    Transforms run along the last axis.  A (count, n) stack of states
+    with (count, n) coefficient rows advances each row exactly as a
+    one-row call on it would, bit for bit.
     """
     v = np.array(v, dtype=np.complex128, copy=True)
     for _ in range(nsub):

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import StabilityError, ValidationError
 from ._backend import kernels
-from .grids import FieldSolution, Grid1D, PdeCoefficients, default_grid
+from .grids import FieldSolution, Grid1D, PdeCoefficients, default_grid, substeps
 
 FD_PROBLEMS = ("advection", "reaction", "wave")
 
@@ -26,17 +26,6 @@ _CFL_SAFETY = 0.8
 # RK4 on the logistic linearization u' ~ rate*u is stable for rate*dt
 # below ~2.78; stay well inside
 _REACTION_RATE_DT_MAX = 2.0
-
-
-def _substeps(dt_out: float, dt_limit: float, dt_forced: float | None) -> tuple[int, float]:
-    """Number of substeps per output interval and the resulting dt."""
-    if dt_forced is not None:
-        if not 0 < dt_forced:
-            raise ValidationError(f"dt must be > 0, got {dt_forced}")
-        nsub = max(1, math.ceil(dt_out / dt_forced - 1e-12))
-    else:
-        nsub = max(1, math.ceil(dt_out / (dt_limit * _CFL_SAFETY) - 1e-12))
-    return nsub, dt_out / nsub
 
 
 def fd_solve(
@@ -66,7 +55,7 @@ def _solve_advection(grid, coeffs, scheme_order, dt_forced):
         raise ValidationError(f"advection scheme_order must be 1 or 2, got {scheme_order}")
     beta = coeffs.advection_speed
     dx = grid.dx
-    nsub, dt = _substeps(grid.dt_out, dx / beta, dt_forced)
+    nsub, dt = substeps(grid.dt_out, dx / beta * _CFL_SAFETY, dt_forced)
     nu = beta * dt / dx
     if nu > 1.0:
         raise StabilityError(
@@ -90,7 +79,7 @@ def _solve_wave(grid, coeffs, dt_forced):
         raise ValidationError("wave grid must include both endpoints")
     c = math.sqrt(coeffs.wave_speed_sq)
     dx = grid.dx
-    nsub, dt = _substeps(grid.dt_out, dx / c, dt_forced)
+    nsub, dt = substeps(grid.dt_out, dx / c * _CFL_SAFETY, dt_forced)
     courant = c * dt / dx
     if courant > 1.0:
         raise StabilityError(
@@ -122,7 +111,7 @@ def _solve_wave(grid, coeffs, dt_forced):
 
 def _solve_reaction(grid, coeffs, dt_forced):
     rate = coeffs.reaction_rate
-    nsub, dt = _substeps(grid.dt_out, _REACTION_RATE_DT_MAX / rate, dt_forced)
+    nsub, dt = substeps(grid.dt_out, _REACTION_RATE_DT_MAX / rate * _CFL_SAFETY, dt_forced)
     if rate * dt > _REACTION_RATE_DT_MAX:
         raise StabilityError(
             f"reaction stability violated: rate*dt = {rate * dt:.4g} > "

@@ -34,7 +34,7 @@ from .analytic import analytic_advection, analytic_reaction, analytic_wave
 from .datasets import InitialConditionSpec, generate_dataset, generate_initial_condition
 from .finite_difference import fd_solve
 from .grids import Grid1D, default_grid
-from .spectral import spectral_solve
+from .spectral import internal_modes, spectral_solve
 
 WORKLOADS = ("advection", "reaction", "wave", "kdv", "ks")
 
@@ -131,23 +131,31 @@ def run_pipeline(
             out_dir=dataset_dir,
         )
         track(dataset_record)
-        s = session("embodied", "reference-solve")
         u0 = generate_initial_condition(base_spec, grid)
-        reference = spectral_solve(workload, u0, grid, provenance="reference-numeric")
+        # every solve below starts from u0, so its dt follows from its mode
+        # count; a stage whose modes match an earlier solve would repeat it
+        # bit for bit, and reuses it instead while still charging its work
+        solved = {}
+
+        def solve(internal_nx, provenance):
+            n = internal_modes(grid, internal_nx)
+            if n not in solved:
+                solved[n] = spectral_solve(
+                    workload, u0, grid, internal_nx=internal_nx, provenance=provenance
+                )
+            return solved[n]
+
+        s = session("embodied", "reference-solve")
+        reference = solve(None, "reference-numeric")
         charge_work(clock, reference.work_points)
         track(stop_session(s))
         for nx in _SPECTRAL_TRIAL_NX:
             s = session("developmental", f"trial-modes{nx}")
-            trial = spectral_solve(
-                workload, u0, grid, internal_nx=nx, provenance="model-numeric"
-            )
+            trial = solve(nx, "model-numeric")
             charge_work(clock, trial.work_points)
             track(stop_session(s))
         s = session("operational", "final-solve")
-        model = spectral_solve(
-            workload, u0, grid, internal_nx=_SPECTRAL_MODEL_NX,
-            provenance="model-numeric",
-        )
+        model = solve(_SPECTRAL_MODEL_NX, "model-numeric")
         charge_work(clock, model.work_points)
         track(stop_session(s))
 

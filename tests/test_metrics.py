@@ -110,6 +110,26 @@ class TestScore:
         with pytest.raises(ParameterError):
             EcoL2Params(n_infer=-1)
 
+    def test_bool_n_infer_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(ParameterError):
+                EcoL2Params(n_infer=flag)
+
+    @pytest.mark.parametrize("scalar", (np.float32, np.float64, np.float16))
+    def test_numpy_real_scalars_score_like_floats(self, scalar):
+        carbon = CarbonLedger(c_operational=1e-4)
+        r = scalar(0.01)
+        assert ecol2(r, carbon) == ecol2(float(r), carbon)
+        assert ecol2_numerator(r, 100.0) == ecol2_numerator(float(r), 100.0)
+
+    @pytest.mark.parametrize("r", (True, False, np.bool_(False), np.float32("nan"),
+                                   np.float64("inf"), "0.01", 0.01 + 0j))
+    def test_non_real_or_non_finite_r_rejected(self, r):
+        with pytest.raises(DomainError):
+            ecol2(r, CarbonLedger(c_operational=1e-4))
+        with pytest.raises(DomainError):
+            ecol2_numerator(r, 100.0)
+
     def test_negative_component_rejected(self):
         with pytest.raises(ValidationError):
             CarbonLedger(c_operational=-1e-3)

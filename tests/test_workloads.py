@@ -23,7 +23,11 @@ from ecol2.workloads import (
     generate_initial_condition,
     run_pipeline,
     spectral_solve,
+    spectral_solve_batch,
 )
+from ecol2.tracking import charge_work
+from ecol2.workloads import datasets as datasets_module
+from ecol2.workloads import pipeline as pipeline_module
 from ecol2.workloads._backend import available_backends
 
 
@@ -349,6 +353,56 @@ class TestSpectral:
             spectral_solve("ks", np.zeros(bad.nx), bad)
 
 
+def assert_same_solution(a, b):
+    assert np.array_equal(a.values, b.values)
+    assert a.work_points == b.work_points
+    assert a.max_imag_residue == b.max_imag_residue
+    assert a.provenance == b.provenance
+
+
+class TestSpectralBatch:
+    @pytest.mark.parametrize("equation", ("kdv", "ks"))
+    def test_rows_equal_separate_solves_bit_for_bit(self, equation):
+        # kdv stores 100 points and solves on 256 modes; ks solves on its grid
+        grid = replace(default_grid(equation), nt=21, t_final=2.0)
+        base = generate_initial_condition(InitialConditionSpec.sample(5), grid)
+        scales = (1.0, 4.0, 0.5, 4.0, 2.5)
+        u0s = np.stack([s * base for s in scales])
+        batch = spectral_solve_batch(equation, u0s, grid)
+        alone = [spectral_solve(equation, u0, grid) for u0 in u0s]
+        # rows with different amplitudes step with different substep counts
+        assert len({sol.work_points for sol in alone}) >= 3
+        assert len(batch) == len(alone)
+        for b, a in zip(batch, alone):
+            assert_same_solution(b, a)
+
+    def test_forced_modes_and_dt_rows_equal_separate_solves(self):
+        grid = Grid1D(length=64.0, nx=64, nt=6, t_final=1.0)
+        u0s = np.stack([
+            generate_initial_condition(InitialConditionSpec.sample(seed), grid)
+            for seed in (1, 2, 3)
+        ])
+        kwargs = dict(internal_nx=128, dt=0.01, provenance="model-numeric")
+        batch = spectral_solve_batch("ks", u0s, grid, **kwargs)
+        for b, u0 in zip(batch, u0s):
+            assert_same_solution(b, spectral_solve("ks", u0, grid, **kwargs))
+
+    def test_blow_up_names_lowest_row_at_first_failing_time(self):
+        # alone, amplitude 5 blows up by t = 4, amplitudes 10 and 15 by t = 2
+        grid = Grid1D(length=64.0, nx=64, nt=11, t_final=10.0)
+        wave = np.sin(2.0 * np.pi * grid.x / grid.length)
+        u0s = np.stack([a * wave for a in (0.1, 5.0, 10.0, 15.0)])
+        with pytest.raises(SolverError, match=r"blew up by t = 2 ") as info:
+            spectral_solve_batch("kdv", u0s, grid, dt=0.5, internal_nx=64)
+        assert info.value.row == 2
+
+    def test_stack_shape_validated(self):
+        grid = default_grid("ks")
+        for bad in (np.zeros(grid.nx), np.zeros((0, grid.nx)), np.zeros((2, grid.nx + 1))):
+            with pytest.raises(ValidationError):
+                spectral_solve_batch("ks", bad, grid)
+
+
 class TestBackends:
     def test_both_backends_importable_here(self):
         # the build in this repo compiles the extension; tests cover both
@@ -494,6 +548,52 @@ class TestPipeline:
                            seed=2, store=store)
         stored = aggregate(store)
         assert stored == res.carbon
+
+    def test_spectral_run_makes_three_distinct_solves(self, monkeypatch):
+        batches, solves = [], []
+
+        def count_batch(equation, u0s, grid, **kwargs):
+            batches.append(len(u0s))
+            return spectral_solve_batch(equation, u0s, grid, **kwargs)
+
+        def count_solve(equation, u0, grid, **kwargs):
+            solves.append(kwargs.get("internal_nx"))
+            return spectral_solve(equation, u0, grid, **kwargs)
+
+        monkeypatch.setattr(datasets_module, "spectral_solve_batch", count_batch)
+        monkeypatch.setattr(pipeline_module, "spectral_solve", count_solve)
+        run_pipeline("kdv", power=PowerModel.fixed(50.0), region="CH", seed=2)
+        # the dataset batch, the reference, the 128-mode trial; the 256-mode
+        # trial reuses the reference and the final solve the 128-mode trial
+        assert batches == [4]
+        assert solves == [None, 128]
+
+    def test_stage_charges_match_unbatched_solves(self):
+        seed = 2
+        res = run_pipeline("kdv", power=PowerModel.fixed(50.0), region="CH", seed=seed)
+        # replay the charges of one solve per sample and per stage on a fresh
+        # clock, in the order the stages run
+        grid = default_grid("kdv")
+        base = InitialConditionSpec.sample(seed)
+        rng = np.random.default_rng(seed)
+        samples = [generate_initial_condition(base.perturbed(rng), grid) for _ in range(4)]
+        u0 = generate_initial_condition(base, grid)
+        stage_points = {
+            "dataset": [spectral_solve("kdv", u, grid).work_points for u in samples],
+            "reference-solve": [spectral_solve("kdv", u0, grid).work_points],
+            "trial-modes128": [spectral_solve("kdv", u0, grid, internal_nx=128).work_points],
+            "trial-modes256": [spectral_solve("kdv", u0, grid, internal_nx=256).work_points],
+            "final-solve": [spectral_solve("kdv", u0, grid, internal_nx=128).work_points],
+            "evaluation": [grid.nt * grid.nx],
+        }
+        clock = VirtualClock()
+        expected = {}
+        for label, points in stage_points.items():
+            t0 = clock.now()
+            for p in points:
+                charge_work(clock, p)
+            expected[label] = clock.now() - t0
+        assert {r.label: r.duration_s for r in res.records} == expected
 
     def test_model_error_is_moderate(self):
         # the coarse stand-in solver should be imperfect but usable
