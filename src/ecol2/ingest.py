@@ -106,6 +106,10 @@ def _row_to_record(row, row_no, stage, columns, registry, path) -> EmissionRecor
     duration_s = (
         _parse_float(duration, "duration", path, row_no) if duration is not None else 0.0
     )
+    if energy_kwh < 0:
+        raise IngestError(f"{path}, row {row_no}: negative energy")
+    if duration_s < 0:
+        raise IngestError(f"{path}, row {row_no}: negative duration")
 
     if stated is not None:
         emissions_kg = _parse_float(stated, "emissions", path, row_no)

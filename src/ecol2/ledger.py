@@ -9,12 +9,13 @@ Layout under a root directory:
 
 One JSON document per record.  A stage whose directory is missing is
 disabled and aggregates to zero; writing into it creates it.  Writers are
-serialized through a lock file at <root>/Emissions/.lock so concurrent
-processes cannot interleave half-written records.
+serialized by an flock on <root>/Emissions/.lock so concurrent processes
+cannot interleave half-written records.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -37,7 +38,11 @@ _LOCK_RETRY_S = 0.01
 
 
 class _WriterLock:
-    """Exclusive-create lock file; holds the writing process's pid."""
+    """flock on a lock file that stays in place between writers.
+
+    The kernel drops the lock when its holder closes the file or dies, so
+    a lock file left behind by a killed writer blocks nobody.
+    """
 
     def __init__(self, path: Path, timeout: float = _LOCK_TIMEOUT_S):
         self._path = path
@@ -45,23 +50,28 @@ class _WriterLock:
         self._fd = None
 
     def __enter__(self):
+        fd = os.open(self._path, os.O_CREAT | os.O_WRONLY, 0o644)
         deadline = time.monotonic() + self._timeout
-        while True:
-            try:
-                self._fd = os.open(self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(self._fd, str(os.getpid()).encode())
-                return self
-            except FileExistsError:
-                if time.monotonic() >= deadline:
-                    raise LedgerError(
-                        f"store is locked by another writer ({self._path})"
-                    ) from None
-                time.sleep(_LOCK_RETRY_S)
+        try:
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() >= deadline:
+                        raise LedgerError(
+                            f"store is locked by another writer ({self._path})"
+                        ) from None
+                    time.sleep(_LOCK_RETRY_S)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
+        return self
 
     def __exit__(self, *exc):
         os.close(self._fd)
         self._fd = None
-        os.unlink(self._path)
         return False
 
 

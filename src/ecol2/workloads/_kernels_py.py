@@ -22,6 +22,9 @@ def spectral_evolve(v, e_half, e_full, g, nsub):
     one-row call on it would, bit for bit.
     """
     v = np.array(v, dtype=np.complex128, copy=True)
+    # 2.0 * e_half * (b + c) groups as (2.0 * e_half) * (b + c), so hoisting
+    # the product and e_full * v keeps every result bit for bit
+    e_half2 = 2.0 * e_half
     for _ in range(nsub):
         u = np.fft.ifft(v).real
         a = g * np.fft.fft(u * u)
@@ -29,9 +32,10 @@ def spectral_evolve(v, e_half, e_full, g, nsub):
         b = g * np.fft.fft(u * u)
         u = np.fft.ifft(e_half * v + 0.5 * b).real
         c = g * np.fft.fft(u * u)
-        u = np.fft.ifft(e_full * v + e_half * c).real
+        ev = e_full * v
+        u = np.fft.ifft(ev + e_half * c).real
         d = g * np.fft.fft(u * u)
-        v = e_full * v + (e_full * a + 2.0 * e_half * (b + c) + d) / 6.0
+        v = ev + (e_full * a + e_half2 * (b + c) + d) / 6.0
     return v
 
 

@@ -16,16 +16,18 @@ import numpy as np
 
 from ..errors import SolverError, ValidationError
 from ..tracking import EmissionRecord, PowerModel, charge_work, start_session
-from .grids import Grid1D
+from .grids import FieldSolution, Grid1D
 # spectral_solve is unused here but stays importable under this module's
 # name: perfbench/tracer.py wraps datasets.spectral_solve by name
-from .spectral import spectral_solve, spectral_solve_batch  # noqa: F401
+from .spectral import _evolve_rows, spectral_solve  # noqa: F401
 
 FREQUENCY_LO = 1
 FREQUENCY_HI = 5
 AMPLITUDE_LO = 0.1
 AMPLITUDE_HI = 0.5
 DEFAULT_N_TERMS = 5
+
+_Pairs = list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -117,15 +119,28 @@ def generate_dataset(
     out_dir: str | Path | None = None,
     internal_nx: int | None = None,
     dt: float | None = None,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], EmissionRecord | None]:
+    with_reference=None,
+) -> tuple[_Pairs, EmissionRecord | None] | tuple[_Pairs, EmissionRecord | None, FieldSolution]:
     """(u0, u(T)) pairs from perturbed copies of the base spec.
 
     Deterministic given the seed.  With a power model the generation is
     wrapped in an embodied session and the record returned; otherwise the
     record is None.  A blow-up names the failing sample and aborts.
+
+    with_reference, an initial field on the grid, is solved as one more
+    row of the samples' batch, neither charged to the session nor written
+    out; its FieldSolution (provenance reference-numeric) is returned
+    third, as (pairs, record, reference).
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if with_reference is not None:
+        with_reference = np.asarray(with_reference, dtype=np.float64)
+        if with_reference.shape != (grid.nx,):
+            raise ValidationError(
+                f"reference u0 shape {with_reference.shape} does not match "
+                f"grid nx {grid.nx}"
+            )
     rng = np.random.default_rng(seed)
     session = None
     if power is not None:
@@ -135,28 +150,34 @@ def generate_dataset(
             "embodied", power, region, label="dataset", registry=registry, clock=clock
         )
     try:
-        u0s = np.stack([
+        rows = [
             generate_initial_condition(base_spec.perturbed(rng), grid)
             for _ in range(count)
-        ])
+        ]
+        if with_reference is not None:
+            rows.append(with_reference)
         try:
-            solutions = spectral_solve_batch(
-                equation, u0s, grid, internal_nx=internal_nx, dt=dt,
-                provenance="reference-numeric",
+            solutions = _evolve_rows(
+                equation, np.stack(rows), grid, internal_nx=internal_nx, dt=dt,
+                trajectories=range(count, len(rows)),
             )
         except SolverError as err:
+            if err.row == count:
+                raise SolverError(f"reference solve failed: {err}") from err
             raise SolverError(f"dataset sample {err.row} failed: {err}") from err
-        for sol in solutions:
+        for sol in solutions[:count]:
             charge_work(clock, sol.work_points)
     except BaseException:
         if session is not None:
             session.abandon()
         raise
-    pairs = [(u0, sol.final_state) for u0, sol in zip(u0s, solutions)]
+    pairs = [(u0, sol.final_state) for u0, sol in zip(rows[:count], solutions)]
     record = session.stop() if session is not None else None
     if out_dir is not None:
         _write_dataset(Path(out_dir), equation, seed, base_spec, grid, pairs)
-    return pairs, record
+    if with_reference is None:
+        return pairs, record
+    return pairs, record, solutions[count]
 
 
 def _write_dataset(out_dir, equation, seed, base_spec, grid, pairs):

@@ -117,8 +117,11 @@ def run_pipeline(
         track(stop_session(s))
     else:
         base_spec = InitialConditionSpec.sample(seed)
+        u0 = generate_initial_condition(base_spec, grid)
         dataset_dir = store.root / "dataset" if store is not None else None
-        _, dataset_record = generate_dataset(
+        # the reference is one more row of the dataset batch; its own stage
+        # below still charges its work
+        _, dataset_record, reference = generate_dataset(
             workload,
             dataset_count,
             base_spec,
@@ -129,13 +132,13 @@ def run_pipeline(
             registry=registry,
             clock=clock,
             out_dir=dataset_dir,
+            with_reference=u0,
         )
         track(dataset_record)
-        u0 = generate_initial_condition(base_spec, grid)
         # every solve below starts from u0, so its dt follows from its mode
         # count; a stage whose modes match an earlier solve would repeat it
         # bit for bit, and reuses it instead while still charging its work
-        solved = {}
+        solved = {internal_modes(grid): reference}
 
         def solve(internal_nx, provenance):
             n = internal_modes(grid, internal_nx)
@@ -146,7 +149,6 @@ def run_pipeline(
             return solved[n]
 
         s = session("embodied", "reference-solve")
-        reference = solve(None, "reference-numeric")
         charge_work(clock, reference.work_points)
         track(stop_session(s))
         for nx in _SPECTRAL_TRIAL_NX:

@@ -16,6 +16,7 @@ output is restricted/extended to the grid by spectral resampling.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +105,38 @@ def spectral_solve_batch(
     so on.  Blow-up raises SolverError whose `row` is the lowest-index row
     that blew up at the first failing output time.
     """
+    return _evolve_rows(
+        equation, u0s, grid, dt=dt, internal_nx=internal_nx, dealias=dealias,
+        provenance=provenance,
+    )
+
+
+class _FinalState(NamedTuple):
+    """What a batched solve returns for a row whose trajectory is not kept."""
+
+    final_state: np.ndarray
+    work_points: int
+    max_imag_residue: float
+
+
+def _evolve_rows(
+    equation: str,
+    u0s,
+    grid: Grid1D,
+    *,
+    dt: float | None = None,
+    internal_nx: int | None = None,
+    dealias: bool = True,
+    provenance: str = "reference-numeric",
+    trajectories=None,
+) -> list[FieldSolution | _FinalState]:
+    """The stepping loop of spectral_solve_batch.
+
+    trajectories names the rows whose full (nt, nx) trajectory is kept
+    and returned as a FieldSolution (None: every row).  Every other row
+    holds only its current level and returns a _FinalState with u(T),
+    resampled to the grid once, at the last level.
+    """
     if equation not in SPECTRAL_EQUATIONS:
         raise ValidationError(
             f"equation must be one of {SPECTRAL_EQUATIONS}, got {equation!r}"
@@ -156,8 +189,9 @@ def spectral_solve_batch(
         steps.append(([i for i, n in enumerate(nsub) if n >= level], level - done))
         done = level
 
-    values = np.empty((count, grid.nt, grid.nx))
-    values[:, 0] = u0s
+    kept = list(range(count) if trajectories is None else trajectories)
+    values = np.empty((len(kept), grid.nt, grid.nx))
+    values[:, 0] = u0s[kept]
     residue = np.zeros(count)
     t = grid.t
     for j in range(1, grid.nt):
@@ -178,14 +212,21 @@ def spectral_solve_batch(
                     row=i,
                 )
             residue[i] = max(residue[i], res_i)
-        values[:, j] = fourier_resample(u_j, grid.nx) if resample else u_j
-    return [
-        FieldSolution(
-            grid,
-            values[i],
-            provenance,
-            work_points=(grid.nt - 1) * nsub[i] * n_int,
+        if kept:
+            u_kept = u_j[kept]
+            values[:, j] = fourier_resample(u_kept, grid.nx) if resample else u_kept
+
+    work = [(grid.nt - 1) * n * n_int for n in nsub]
+    out: list[FieldSolution | _FinalState] = [None] * count
+    for slot, i in enumerate(kept):
+        out[i] = FieldSolution(
+            grid, values[slot], provenance, work_points=work[i],
             max_imag_residue=float(residue[i]),
         )
-        for i in range(count)
-    ]
+    rest = [i for i in range(count) if out[i] is None]
+    if rest:
+        u_rest = u_j[rest]
+        finals = fourier_resample(u_rest, grid.nx) if resample else u_rest
+        for final, i in zip(finals, rest):
+            out[i] = _FinalState(final, work[i], float(residue[i]))
+    return out

@@ -84,6 +84,16 @@ class TestEmissionsImport:
         with pytest.raises(IngestError):
             import_emissions_csv(path, "operational")
 
+    @pytest.mark.parametrize("row, what", [
+        ("1e-3,-1.0,,\n", "energy"),
+        (",-1.0,,CH\n", "energy"),
+        ("1e-3,,-3600,\n", "duration"),
+    ])
+    def test_negative_energy_or_duration_names_file_and_row(self, tmp_path, row, what):
+        path = write_csv(tmp_path, "1e-3,,,\n" + row)
+        with pytest.raises(IngestError, match=rf"log\.csv, row 2: negative {what}"):
+            import_emissions_csv(path, "operational")
+
     def test_row_without_emissions_or_energy_region(self, tmp_path):
         path = write_csv(tmp_path, ",,3600,\n")
         with pytest.raises(IngestError):

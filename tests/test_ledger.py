@@ -1,5 +1,6 @@
 """Record persistence: layout, round-trips, locking, aggregation algebra."""
 
+import fcntl
 import json
 import threading
 
@@ -186,11 +187,22 @@ class TestLocking:
         assert not errors
         assert len(store.read_stage("operational")) == 16
 
-    def test_stale_lock_times_out(self, tmp_path):
+    def test_held_lock_times_out(self, tmp_path):
         store = LedgerStore(tmp_path)
         store.record(make_record("operational", 1e-6))
-        lock = tmp_path / "Emissions" / ".lock"
-        lock.write_text("held-by-nobody")
-        with pytest.raises(LedgerError, match="lock"):
-            LedgerStore(tmp_path, lock_timeout=0.2).record(
-                make_record("operational", 1e-6))
+        # another open file description on the lock file, as another
+        # process's writer would hold
+        with open(tmp_path / "Emissions" / ".lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            with pytest.raises(LedgerError, match="locked by another writer"):
+                LedgerStore(tmp_path, lock_timeout=0.2).record(
+                    make_record("operational", 1e-6))
+        assert len(store.read_stage("operational")) == 1
+
+    def test_leftover_lock_file_does_not_block(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        store.record(make_record("operational", 1e-6))
+        # what a writer killed mid-record under the old scheme left behind
+        (tmp_path / "Emissions" / ".lock").write_text("12345")
+        LedgerStore(tmp_path, lock_timeout=0.2).record(make_record("operational", 1e-6))
+        assert len(store.read_stage("operational")) == 2

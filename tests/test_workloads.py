@@ -7,7 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecol2 import PowerModel, SolverError, StabilityError, ValidationError, VirtualClock
+from ecol2 import (
+    PowerModel,
+    SolverError,
+    StabilityError,
+    ValidationError,
+    VirtualClock,
+    error_metrics,
+)
 from ecol2.workloads import (
     BACKEND,
     Grid1D,
@@ -396,6 +403,33 @@ class TestSpectralBatch:
             spectral_solve_batch("kdv", u0s, grid, dt=0.5, internal_nx=64)
         assert info.value.row == 2
 
+    def test_evolve_equals_unhoisted_formula_bit_for_bit(self):
+        def evolve_unhoisted(v, e_half, e_full, g, nsub):
+            v = np.array(v, dtype=np.complex128, copy=True)
+            for _ in range(nsub):
+                u = np.fft.ifft(v).real
+                a = g * np.fft.fft(u * u)
+                u = np.fft.ifft(e_half * (v + 0.5 * a)).real
+                b = g * np.fft.fft(u * u)
+                u = np.fft.ifft(e_half * v + 0.5 * b).real
+                c = g * np.fft.fft(u * u)
+                u = np.fft.ifft(e_full * v + e_half * c).real
+                d = g * np.fft.fft(u * u)
+                v = e_full * v + (e_full * a + 2.0 * e_half * (b + c) + d) / 6.0
+            return v
+
+        n = 256
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=0.5)
+        dts = np.array([1e-3, 2e-3, 5e-4, 1.5e-3, 1e-3])[:, None]
+        e_half = np.exp(0.5 * dts * 1j * k**3)
+        e_full = np.exp(dts * 1j * k**3)
+        modes = np.rint(np.fft.fftfreq(n) * n).astype(int)
+        g = -0.5j * dts * k * (np.abs(modes) < n / 3)
+        x = np.arange(n) * 2.0 * np.pi / n
+        v = np.fft.fft(np.stack([a * np.cos(x + a) for a in (0.5, 1.0, 1.5, 2.0, 2.5)]))
+        hoisted = available_backends()["python"].spectral_evolve(v, e_half, e_full, g, 50)
+        assert hoisted.tobytes() == evolve_unhoisted(v, e_half, e_full, g, 50).tobytes()
+
     def test_stack_shape_validated(self):
         grid = default_grid("ks")
         for bad in (np.zeros(grid.nx), np.zeros((0, grid.nx)), np.zeros((2, grid.nx + 1))):
@@ -511,6 +545,45 @@ class TestDatasets:
         with pytest.raises(SolverError, match="sample 0"):
             generate_dataset("kdv", 2, bad, 7, grid, dt=0.5, internal_nx=64)
 
+    def test_reference_row_leaves_samples_unchanged(self, tmp_path):
+        # kdv stores 100 points and solves on 256 modes, so both the kept
+        # trajectory and the final-state-only rows are resampled
+        grid = replace(default_grid("kdv"), nt=11, t_final=1.0)
+        base = InitialConditionSpec.sample(4)
+        u0 = generate_initial_condition(base, grid)
+        tracked = dict(power=PowerModel.fixed(50.0), region="CH")
+        plain, plain_rec = generate_dataset(
+            "kdv", 3, base, 11, grid, clock=VirtualClock(), out_dir=tmp_path / "a",
+            **tracked)
+        pairs, rec, reference = generate_dataset(
+            "kdv", 3, base, 11, grid, clock=VirtualClock(), out_dir=tmp_path / "b",
+            with_reference=u0, **tracked)
+        assert len(pairs) == len(plain) == 3
+        for (a0, aT), (b0, bT) in zip(plain, pairs):
+            assert a0.tobytes() == b0.tobytes()
+            assert aT.tobytes() == bT.tobytes()
+        # the reference row is neither charged nor written out
+        assert rec.duration_s == plain_rec.duration_s
+        for name in ("header.json", "u0.csv", "uT.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert_same_solution(reference, spectral_solve("kdv", u0, grid))
+
+    def test_blow_up_in_reference_row_names_the_reference(self):
+        grid = Grid1D(length=64.0, nx=64, nt=11, t_final=10.0)
+        calm = InitialConditionSpec(amplitudes=(0.1,), frequencies=(1,),
+                                    phases=(0.0,), seed=1)
+        wild = 40.0 * np.sin(2.0 * np.pi * grid.x / grid.length)
+        with pytest.raises(SolverError, match="reference solve failed") as info:
+            generate_dataset("kdv", 2, calm, 7, grid, dt=0.5, internal_nx=64,
+                             with_reference=wild)
+        assert "sample" not in str(info.value)
+
+    def test_reference_shape_validated(self):
+        grid = self.make_grid()
+        with pytest.raises(ValidationError, match="reference"):
+            generate_dataset("ks", 1, InitialConditionSpec.sample(4), 1, grid,
+                             with_reference=np.zeros(grid.nx + 1))
+
     def test_count_must_be_positive(self):
         base = InitialConditionSpec.sample(4)
         with pytest.raises(ValidationError):
@@ -551,22 +624,43 @@ class TestPipeline:
 
     def test_spectral_run_makes_three_distinct_solves(self, monkeypatch):
         batches, solves = [], []
+        evolve_rows = datasets_module._evolve_rows
 
         def count_batch(equation, u0s, grid, **kwargs):
-            batches.append(len(u0s))
-            return spectral_solve_batch(equation, u0s, grid, **kwargs)
+            batches.append((len(u0s), list(kwargs["trajectories"])))
+            return evolve_rows(equation, u0s, grid, **kwargs)
 
         def count_solve(equation, u0, grid, **kwargs):
             solves.append(kwargs.get("internal_nx"))
             return spectral_solve(equation, u0, grid, **kwargs)
 
-        monkeypatch.setattr(datasets_module, "spectral_solve_batch", count_batch)
+        monkeypatch.setattr(datasets_module, "_evolve_rows", count_batch)
         monkeypatch.setattr(pipeline_module, "spectral_solve", count_solve)
         run_pipeline("kdv", power=PowerModel.fixed(50.0), region="CH", seed=2)
-        # the dataset batch, the reference, the 128-mode trial; the 256-mode
-        # trial reuses the reference and the final solve the 128-mode trial
-        assert batches == [4]
-        assert solves == [None, 128]
+        # one batch of the 4 dataset samples plus the reference as row 4, the
+        # only row whose trajectory is kept; then the 128-mode trial.  The
+        # 256-mode trial reuses the reference and the final solve the trial
+        assert batches == [(5, [4])]
+        assert solves == [128]
+
+    @pytest.mark.parametrize("workload", ("kdv", "ks"))
+    def test_batched_reference_equals_standalone_solve(self, workload, monkeypatch):
+        fields = []
+
+        def capture(model, reference):
+            fields.append(reference)
+            return error_metrics(model, reference)
+
+        monkeypatch.setattr(pipeline_module, "error_metrics", capture)
+        res = run_pipeline(workload, power=PowerModel.fixed(50.0), region="CH", seed=2)
+        grid = default_grid(workload)
+        u0 = generate_initial_condition(InitialConditionSpec.sample(2), grid)
+        reference = spectral_solve(workload, u0, grid)
+        model = spectral_solve(workload, u0, grid, internal_nx=128,
+                               provenance="model-numeric")
+        assert fields and all(f.tobytes() == reference.values.tobytes() for f in fields)
+        assert res.error.relative_l2 == error_metrics(
+            model.values, reference.values).relative_l2
 
     def test_stage_charges_match_unbatched_solves(self):
         seed = 2
