@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import Ecol2Error, ValidationError
 from .ingest import import_field_csv
 from .ledger import LedgerStore, aggregate, summarize
-from .metrics import CarbonLedger, EcoL2Params, ecol2, error_metrics
+from .metrics import CarbonLedger, EcoL2Params, ecol2, error_metrics, sweep
 from .regions import RegionRegistry, default_registry
 from .tracking import (
     STAGES,
@@ -227,6 +227,27 @@ def _carbon_row(carbon: CarbonLedger, n_infer: int) -> dict:
     }
 
 
+def _read_run(root: Path) -> dict | None:
+    """The run `bench` stored under a ledger root, or None if there is none.
+
+    A run file that is not a JSON object with a numeric r raises
+    ValidationError naming the file.
+    """
+    path = root / RUN_FILE
+    if not path.is_file():
+        return None
+    try:
+        stored = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValidationError(f"{path}: unreadable run file: {err}") from None
+    if not isinstance(stored, dict):
+        raise ValidationError(f"{path}: run file is not a JSON object")
+    r = stored.get("r")
+    if isinstance(r, bool) or not isinstance(r, (int, float)):
+        raise ValidationError(f"{path}: run file has no numeric r (got {r!r})")
+    return stored
+
+
 # --- subcommands ---
 
 
@@ -355,14 +376,13 @@ def cmd_bench(args) -> int:
             raise _UsageError(f"bad --sweep-alpha value {args.sweep_alpha!r}") from None
         if not alphas:
             raise _UsageError("--sweep-alpha needs at least one value")
-        rows = []
-        for alpha in alphas:
-            p = EcoL2Params(alpha=alpha, beta=params.beta, n_infer=params.n_infer)
-            s = ecol2(result.error.relative_l2, result.carbon, p)
-            row = dict(main_row)
-            row["alpha"] = alpha
-            row["ecol2"] = s.value
-            rows.append(row)
+        scores = sweep(
+            result.error.relative_l2, result.carbon, alphas, [params.beta], params.n_infer
+        )
+        rows = [
+            dict(main_row, alpha=alpha, ecol2=score.value)
+            for alpha, (score,) in zip(alphas, scores)
+        ]
     else:
         rows = [main_row]
     emit(rows, _BENCH_FIELDS, args.format)
@@ -383,11 +403,10 @@ def cmd_regions(args) -> int:
         raise ValidationError(f"no emission records under {store.root}")
     r = args.r
     if r is None:
-        run_file = store.root / RUN_FILE
-        if run_file.is_file():
-            r = json.loads(run_file.read_text(encoding="utf-8")).get("r")
-    if r is None:
-        raise _UsageError("missing inputs: --r (no stored run to read it from)")
+        stored = _read_run(store.root)
+        if stored is None:
+            raise _UsageError("missing inputs: --r (no stored run to read it from)")
+        r = stored["r"]
     duration = sum(rec.duration_s for rec in records)
     rows = []
     for target in targets:
@@ -412,10 +431,9 @@ def cmd_report(args) -> int:
     rows = []
     for root in args.roots:
         store = LedgerStore(root)
-        run_file = store.root / RUN_FILE
-        if not run_file.is_file():
+        stored = _read_run(store.root)
+        if stored is None:
             raise ValidationError(f"no stored run ({RUN_FILE}) under {root}")
-        stored = json.loads(run_file.read_text(encoding="utf-8"))
         carbon = aggregate(store)
         params = EcoL2Params(
             alpha=stored.get("alpha", DEFAULT_ALPHA),

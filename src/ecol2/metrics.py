@@ -29,7 +29,7 @@ class EcoL2Params:
     """Score weights.
 
     alpha : accuracy emphasis, > 1 (log base of the error transform)
-    beta  : carbon emphasis, >= 1
+    beta  : carbon emphasis, >= 0 (0 scores the numerator alone)
     n_infer : number of inference passes the consumer will run, >= 0
     """
 
@@ -42,8 +42,8 @@ class EcoL2Params:
             raise ParameterError("alpha == 1 makes the error transform singular")
         if not (math.isfinite(self.alpha) and self.alpha > 1.0):
             raise ParameterError(f"alpha must be finite and > 1, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta >= 1):
-            raise ParameterError(f"beta must be finite and >= 1, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ParameterError(f"beta must be finite and >= 0, got {self.beta}")
         if not (
             isinstance(self.n_infer, int)
             and not isinstance(self.n_infer, bool)
@@ -156,6 +156,8 @@ def ecol2(
     total = carbon.total(params.n_infer)
     if total == 0.0:
         warnings.append("zero total carbon; score degenerates to its numerator")
+    elif params.beta == 0.0:
+        warnings.append("beta=0 ignores carbon; score degenerates to its numerator")
     numerator = ecol2_numerator(r, params.alpha)
     denominator = 1.0 + params.beta * total
     return EcoL2Score(

@@ -1,7 +1,6 @@
 """Pure numpy time-stepping kernels.
 
-Reference semantics for the optional compiled extension: same signatures,
-same update order, fresh output arrays, inputs never mutated.
+Every kernel returns fresh arrays and never mutates its inputs.
 """
 
 from __future__ import annotations
@@ -9,44 +8,55 @@ from __future__ import annotations
 import numpy as np
 
 
-def spectral_evolve(v, e_half, e_full, g, nsub):
-    """Advance a spectral state nsub integrating-factor RK4 steps.
+def spectral_evolve(v, e_half, e_full, phi, nsub):
+    """Advance a half-spectrum state nsub ETDRK4 steps.
 
-    v is the FFT of the field; e_half/e_full are exp(L dt/2) and
-    exp(L dt) for the linear symbol L; g bundles -i k dt / 2 with the
-    dealias mask.  The nonlinear term is the conservative -(u^2/2)_x, so
-    g[..., 0] == 0 and the mean mode never moves.
+    v is the rfft of a real field of n points (n/2 + 1 modes); e_half and
+    e_full are exp(L h/2) and exp(L h) for the linear symbol L and step h;
+    phi stacks the weights Q, f1, f2 and f3 of Kassam & Trefethen's
+    ETDRK4, each already multiplied by the dealiased -i k / 2 of the
+    conservative nonlinear term -(u^2/2)_x.  So phi[..., 0] == 0 and the
+    mean mode never moves.
 
-    Transforms run along the last axis.  A (count, n) stack of states
-    with (count, n) coefficient rows advances each row exactly as a
-    one-row call on it would, bit for bit.
+    Transforms run along the last axis.  A (count, m) stack of states
+    with (4, count, m) weight rows advances each row exactly as a one-row
+    call on it would, bit for bit.
     """
+    q, f1, f2, f3 = phi
+    n = 2 * (np.shape(v)[-1] - 1)
     v = np.array(v, dtype=np.complex128, copy=True)
-    # 2.0 * e_half * (b + c) groups as (2.0 * e_half) * (b + c), so hoisting
-    # the product and e_full * v keeps every result bit for bit
-    e_half2 = 2.0 * e_half
+    # e_half * v serves both a and b, and doubling is exact, so hoisting it
+    # and 2 f2 keeps every result bit for bit
+    f2_2 = 2.0 * f2
+    rfft, irfft = np.fft.rfft, np.fft.irfft
     for _ in range(nsub):
-        u = np.fft.ifft(v).real
-        a = g * np.fft.fft(u * u)
-        u = np.fft.ifft(e_half * (v + 0.5 * a)).real
-        b = g * np.fft.fft(u * u)
-        u = np.fft.ifft(e_half * v + 0.5 * b).real
-        c = g * np.fft.fft(u * u)
-        ev = e_full * v
-        u = np.fft.ifft(ev + e_half * c).real
-        d = g * np.fft.fft(u * u)
-        v = ev + (e_full * a + e_half2 * (b + c) + d) / 6.0
+        nv = rfft(irfft(v, n) ** 2)
+        ev = e_half * v
+        a = ev + q * nv
+        na = rfft(irfft(a, n) ** 2)
+        b = ev + q * na
+        nb = rfft(irfft(b, n) ** 2)
+        c = e_half * a + q * (2.0 * nb - nv)
+        nc = rfft(irfft(c, n) ** 2)
+        v = e_full * v + f1 * nv + f2_2 * (na + nb) + f3 * nc
     return v
 
 
 def to_physical(v):
-    """Physical field and the imaginary residue discarded on the way."""
-    u = np.fft.ifft(v)
-    return np.ascontiguousarray(u.real), float(np.max(np.abs(u.imag)))
+    """Physical fields of a half-spectrum state, and each row's imaginary residue.
+
+    irfft discards only the imaginary parts of the mean and Nyquist modes;
+    the residue (|Im v[0]| + |Im v[n/2]|) / n is the largest imaginary
+    part an inverse transform of the full spectrum would have discarded.
+    """
+    v = np.asarray(v)
+    n = 2 * (v.shape[-1] - 1)
+    residue = (np.abs(v[..., 0].imag) + np.abs(v[..., -1].imag)) / n
+    return np.fft.irfft(v, n), residue
 
 
 def from_physical(u):
-    return np.fft.fft(np.asarray(u, dtype=np.float64))
+    return np.fft.rfft(np.asarray(u, dtype=np.float64))
 
 
 def advection_upwind(u, nu, nsub):

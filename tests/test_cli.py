@@ -367,6 +367,14 @@ class TestRegions:
         assert code == 1
         assert "--r" in err
 
+    def test_corrupt_run_file_rejected(self, tmp_path, capsys):
+        self.seed_store(tmp_path)
+        (tmp_path / "run.json").write_text('{"r": 1e-2,')
+        code, _, err = run_cli(capsys, "regions", "NZ", "--ledger", str(tmp_path))
+        assert code == 1
+        assert str(tmp_path / "run.json") in err
+        assert "Traceback" not in err
+
     def test_empty_ledger_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "regions", "CH", "--ledger", str(tmp_path), "--r", "1e-2"
@@ -440,6 +448,15 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", str(tmp_path / "bare"))
         assert code == 1
         assert "run.json" in err
+
+    @pytest.mark.parametrize("content", ("{not json", '{"workload": "advection"}',
+                                         '{"r": null}', '["r", 0.01]'))
+    def test_corrupt_or_r_less_run_file_rejected(self, tmp_path, capsys, content):
+        root = self.build_roots(tmp_path)[0]
+        (root / "run.json").write_text(content)
+        code, _, err = run_cli(capsys, "report", str(root))
+        assert code == 1
+        assert err.startswith(f"error: {root / 'run.json'}: ")
 
     def test_csv_round_trips_json_values(self, tmp_path, capsys):
         roots = self.build_roots(tmp_path)

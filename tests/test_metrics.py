@@ -79,6 +79,16 @@ class TestScore:
         assert score.value == pytest.approx(score.numerator)
         assert any("numerator" in w for w in score.warnings)
 
+    def test_beta_zero_scores_numerator_with_warning(self):
+        carbon = CarbonLedger(c_operational=1e-3)
+        for beta in (0.0, 0.5):
+            EcoL2Params(beta=beta)
+        score = ecol2(1e-2, carbon, EcoL2Params(alpha=100.0, beta=0.0))
+        assert score.value == score.numerator
+        assert score.denominator == 1.0
+        assert any("beta=0" in w for w in score.warnings)
+        assert not ecol2(1e-2, carbon, EcoL2Params(alpha=100.0, beta=0.5)).warnings
+
     def test_reciprocal_alpha_tiny_carbon_beta_one(self):
         carbon = CarbonLedger(c_operational=1e-15)
         score = ecol2(1e-2, carbon, EcoL2Params(alpha=100.0, beta=1.0))
@@ -137,7 +147,7 @@ class TestScore:
     @given(
         r=st.floats(1e-8, 0.1, exclude_max=True),
         alpha=st.floats(10.0, 1000.0),
-        beta=st.floats(1.0, 1e4),
+        beta=st.floats(0.0, 1e4),
         parts=st.tuples(*[st.floats(1e-12, 10.0)] * 4),
     )
     @settings(max_examples=300, deadline=None)
