@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import import_emissions_csv, import_field_csv
-from .ledger import LedgerStore, aggregate, record, summarize
+from .ledger import LedgerStore, aggregate, summarize
 from .metrics import (
     CarbonLedger,
     EcoL2Params,
@@ -72,7 +72,6 @@ __all__ = [
     "error_metrics",
     "import_emissions_csv",
     "import_field_csv",
-    "record",
     "region_lookup",
     "start_session",
     "stop_session",

@@ -15,12 +15,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import Ecol2Error, ValidationError
 from .ingest import import_field_csv
 from .ledger import LedgerStore, aggregate, summarize
-from .metrics import CarbonLedger, EcoL2Params, ecol2, error_metrics, sweep
+from .metrics import CarbonLedger, EcoL2Params, ecol2, error_metrics
 from .regions import RegionRegistry, default_registry
 from .tracking import (
     STAGES,
@@ -90,31 +91,40 @@ class _UsageError(ValidationError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: regions takes --regions but not --region, which
+        # must be rejected there, not read as --regions
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad usage; the contract here is 1
     def error(self, message):
         raise _UsageError(message)
 
 
-def _common_options(parser: _Parser) -> None:
-    parser.add_argument(
-        "--region",
-        default=os.environ.get("ECOL2_REGION"),
-        help="ISO region code (or env ECOL2_REGION)",
-    )
-    parser.add_argument(
-        "--power",
-        default=DEFAULT_POWER,
-        help="power model: sample | rated:<W> | fixed:<W>",
-    )
-    parser.add_argument("--ledger", default=".", help="record store root")
-    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    parser.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    parser.add_argument("--n-infer", type=int, default=DEFAULT_N_INFER)
-    parser.add_argument(
-        "--format", choices=("table", "csv", "json"), default="table"
-    )
-    parser.add_argument("--regions", help="extra region intensities CSV")
-    parser.add_argument("--seed", type=int, default=0)
+def _shared_options(parser: _Parser, *flags: str) -> None:
+    """Register the named shared flags, each defined only here.
+
+    A subcommand names only the flags its cmd_* function reads, so any
+    other shared flag is a usage error instead of being ignored.
+    """
+    options = {
+        "--region": dict(
+            default=os.environ.get("ECOL2_REGION"),
+            help="ISO region code (or env ECOL2_REGION)",
+        ),
+        "--power": dict(
+            default=DEFAULT_POWER, help="power model: sample | rated:<W> | fixed:<W>"
+        ),
+        "--ledger": dict(default=".", help="record store root"),
+        "--alpha": dict(type=float, default=DEFAULT_ALPHA),
+        "--beta": dict(type=float, default=DEFAULT_BETA),
+        "--n-infer": dict(type=int, default=DEFAULT_N_INFER),
+        "--format": dict(choices=("table", "csv", "json"), default="table"),
+        "--regions": dict(help="extra region intensities CSV"),
+        "--seed": dict(type=int, default=0),
+    }
+    for flag in flags:
+        parser.add_argument(flag, **options[flag])
 
 
 def _build_parser() -> _Parser:
@@ -122,14 +132,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_track = sub.add_parser("track", help="run a command inside an emission session")
-    _common_options(p_track)
+    _shared_options(p_track, "--region", "--power", "--ledger", "--regions")
     p_track.add_argument("--stage", required=True)
     p_track.add_argument("--label", default="")
     p_track.add_argument("child", nargs=argparse.REMAINDER, metavar="-- command ...")
     p_track.set_defaults(func=cmd_track)
 
     p_score = sub.add_parser("score", help="score a ledger against prediction fields")
-    _common_options(p_score)
+    _shared_options(p_score, "--ledger", "--alpha", "--beta", "--n-infer", "--format")
     p_score.add_argument("--r", type=float, help="relative L2 error, given directly")
     p_score.add_argument(
         "--prediction", action="append", default=[], help="prediction CSV (repeatable)"
@@ -138,7 +148,10 @@ def _build_parser() -> _Parser:
     p_score.set_defaults(func=cmd_score)
 
     p_bench = sub.add_parser("bench", help="run a built-in workload end to end")
-    _common_options(p_bench)
+    _shared_options(
+        p_bench, "--region", "--power", "--ledger", "--alpha", "--beta", "--n-infer",
+        "--format", "--regions", "--seed",
+    )
     p_bench.add_argument("workload", choices=WORKLOADS)
     p_bench.add_argument("--dataset-count", type=int, default=4)
     p_bench.add_argument(
@@ -147,13 +160,15 @@ def _build_parser() -> _Parser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_regions = sub.add_parser("regions", help="what-if emissions across regions")
-    _common_options(p_regions)
+    _shared_options(
+        p_regions, "--ledger", "--alpha", "--beta", "--n-infer", "--format", "--regions"
+    )
     p_regions.add_argument("--r", type=float, help="relative L2 error to score at")
     p_regions.add_argument("targets", nargs="+", help="target region codes")
     p_regions.set_defaults(func=cmd_regions)
 
     p_report = sub.add_parser("report", help="summarize one or more bench ledgers")
-    _common_options(p_report)
+    _shared_options(p_report, "--format")
     p_report.add_argument("roots", nargs="+", help="ledger roots with stored runs")
     p_report.set_defaults(func=cmd_report)
 
@@ -350,6 +365,15 @@ def cmd_bench(args) -> int:
     region = _require_region(args)
     registry = _registry(args)
     params = _params(args)
+    sweep_params = None
+    if args.sweep_alpha:
+        try:
+            alphas = [float(a) for a in args.sweep_alpha.split(",") if a.strip()]
+        except ValueError:
+            raise _UsageError(f"bad --sweep-alpha value {args.sweep_alpha!r}") from None
+        if not alphas:
+            raise _UsageError("--sweep-alpha needs at least one value")
+        sweep_params = [replace(params, alpha=alpha) for alpha in alphas]
     power = PowerModel.parse(args.power)
     store = LedgerStore(args.ledger)
     result = run_pipeline(
@@ -369,22 +393,13 @@ def cmd_bench(args) -> int:
     (store.root / RUN_FILE).write_text(
         json.dumps(run_payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
-    if args.sweep_alpha:
-        try:
-            alphas = [float(a) for a in args.sweep_alpha.split(",") if a.strip()]
-        except ValueError:
-            raise _UsageError(f"bad --sweep-alpha value {args.sweep_alpha!r}") from None
-        if not alphas:
-            raise _UsageError("--sweep-alpha needs at least one value")
-        scores = sweep(
-            result.error.relative_l2, result.carbon, alphas, [params.beta], params.n_infer
-        )
+    rows = [main_row]
+    if sweep_params:
         rows = [
-            dict(main_row, alpha=alpha, ecol2=score.value)
-            for alpha, (score,) in zip(alphas, scores)
+            dict(main_row, alpha=p.alpha,
+                 ecol2=ecol2(result.error.relative_l2, result.carbon, p).value)
+            for p in sweep_params
         ]
-    else:
-        rows = [main_row]
     emit(rows, _BENCH_FIELDS, args.format)
     return 0
 

@@ -147,10 +147,6 @@ class LedgerStore:
         return {stage: self.read_stage(stage) for stage in STAGES}
 
 
-def record(store: LedgerStore, emission: EmissionRecord) -> Path:
-    return store.record(emission)
-
-
 def summarize(records) -> CarbonLedger:
     """Fold an iterable of records into per-stage totals.
 

@@ -325,7 +325,9 @@ class EmissionSession:
             with _sampler_guard:
                 _sampler_busy = False
             trace = _power_trace(self._samples)
-            energy_kwh = trapezoid_energy_kwh(trace)
+            # the counters measured the energy; integrating the trace would
+            # not give it back once the power varies
+            energy_kwh = (self._samples[-1][1] - self._samples[0][1]) / JOULES_PER_KWH
         else:
             energy_kwh = self.power.watts * duration / JOULES_PER_KWH
         if inference_count is not None:

@@ -19,7 +19,7 @@ from ..tracking import EmissionRecord, PowerModel, charge_work, start_session
 from .grids import FieldSolution, Grid1D
 # spectral_solve is unused here but stays importable under this module's
 # name: perfbench/tracer.py wraps datasets.spectral_solve by name
-from .spectral import _evolve_rows, spectral_solve  # noqa: F401
+from .spectral import spectral_solve, spectral_solve_batch  # noqa: F401
 
 FREQUENCY_LO = 1
 FREQUENCY_HI = 5
@@ -157,7 +157,7 @@ def generate_dataset(
         if with_reference is not None:
             rows.append(with_reference)
         try:
-            solutions = _evolve_rows(
+            solutions = spectral_solve_batch(
                 equation, np.stack(rows), grid, internal_nx=internal_nx, dt=dt,
                 trajectories=range(count, len(rows)),
             )

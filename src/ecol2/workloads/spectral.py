@@ -97,7 +97,6 @@ def spectral_solve(
     *,
     dt: float | None = None,
     internal_nx: int | None = None,
-    dealias: bool = True,
     provenance: str = "reference-numeric",
 ) -> FieldSolution:
     """Evolve u0 over the grid's output times.
@@ -112,35 +111,9 @@ def spectral_solve(
         raise ValidationError(f"u0 shape {u0.shape} does not match grid nx {grid.nx}")
     (solution,) = spectral_solve_batch(
         equation, u0[None, :], grid, dt=dt, internal_nx=internal_nx,
-        dealias=dealias, provenance=provenance,
-    )
-    return solution
-
-
-def spectral_solve_batch(
-    equation: str,
-    u0s,
-    grid: Grid1D,
-    *,
-    dt: float | None = None,
-    internal_nx: int | None = None,
-    dealias: bool = True,
-    provenance: str = "reference-numeric",
-) -> list[FieldSolution]:
-    """Evolve each row of a (count, nx) stack; one FieldSolution per row.
-
-    Every row keeps the dt it would get alone (its own u_scale), and goes
-    through exactly the operations of a one-row solve, so each result is
-    bit for bit that of spectral_solve on the row.  Rows are stepped
-    together: in each output interval all rows advance by the smallest
-    substep count, then the rows still running by the next increment, and
-    so on.  Blow-up raises SolverError whose `row` is the lowest-index row
-    that blew up at the first failing output time.
-    """
-    return _evolve_rows(
-        equation, u0s, grid, dt=dt, internal_nx=internal_nx, dealias=dealias,
         provenance=provenance,
     )
+    return solution
 
 
 class _FinalState(NamedTuple):
@@ -151,18 +124,25 @@ class _FinalState(NamedTuple):
     max_imag_residue: float
 
 
-def _evolve_rows(
+def spectral_solve_batch(
     equation: str,
     u0s,
     grid: Grid1D,
     *,
     dt: float | None = None,
     internal_nx: int | None = None,
-    dealias: bool = True,
     provenance: str = "reference-numeric",
     trajectories=None,
 ) -> list[FieldSolution | _FinalState]:
-    """The stepping loop of spectral_solve_batch.
+    """Evolve each row of a (count, nx) stack; one result per row.
+
+    Every row keeps the dt it would get alone (its own u_scale), and goes
+    through exactly the operations of a one-row solve, so each result is
+    bit for bit that of spectral_solve on the row.  Rows are stepped
+    together: in each output interval all rows advance by the smallest
+    substep count, then the rows still running by the next increment, and
+    so on.  Blow-up raises SolverError whose `row` is the lowest-index row
+    that blew up at the first failing output time.
 
     trajectories names the rows whose full (nt, nx) trajectory is kept
     and returned as a FieldSolution (None: every row).  Every other row
@@ -188,9 +168,7 @@ def _evolve_rows(
     u_int = fourier_resample(u0s, n_int) if resample else u0s.copy()
     k = _wavenumbers(n_int, grid.length)
     symbol = 1j * k**3 if equation == "kdv" else k**2 - k**4
-    nonlinear = -0.5j * k
-    if dealias:
-        nonlinear *= _dealias_mask(n_int)
+    nonlinear = -0.5j * k * _dealias_mask(n_int)
     k_max = math.pi * n_int / grid.length
     dt_accuracy = _DT_ACCURACY[equation]
 

@@ -11,7 +11,7 @@ these numbers from the raw inputs.
 import numpy as np
 import pytest
 
-from ecol2 import EmissionRecord, LedgerStore, record
+from ecol2 import EmissionRecord, LedgerStore
 
 # label, r, c_embodied, c_developmental, c_operational, c_inference, reported score
 GOLDEN_ROWS = (
@@ -55,7 +55,7 @@ def build_fixture_store(root, components):
     store = LedgerStore(root)
     for stage, kg in zip(STAGE_ORDER, components):
         if kg > 0.0:
-            record(store, make_record(stage, kg))
+            store.record(make_record(stage, kg))
     return store
 
 

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from ecol2 import LedgerStore, aggregate
-from ecol2.cli import main
+from ecol2.cli import _build_parser, main
 
 from conftest import GOLDEN_ROWS, build_fixture_store, make_record, write_fields_for_r
 
@@ -119,6 +119,22 @@ class TestTrack:
         assert code == 1
         assert "cannot run" in err
         assert LedgerStore(tmp_path).read_stage("operational") == []
+
+    def test_records_count_toward_a_later_score(self, tmp_path, capsys):
+        (bench,), _ = run_json(
+            capsys, "bench", "advection", "--region", "CH", "--ledger", str(tmp_path)
+        )
+        code, _, err = self.track(capsys, tmp_path, "--label", "tuning",
+                                  stage="developmental")
+        assert code == 0, err
+        (tracked,) = [rec for rec in LedgerStore(tmp_path).read_stage("developmental")
+                      if rec.label == "tuning"]
+        (row,), _ = run_json(
+            capsys, "score", "--ledger", str(tmp_path), "--r", repr(bench["r"])
+        )
+        assert row["c_developmental"] == pytest.approx(
+            bench["c_developmental"] + tracked.emissions_kg, rel=1e-12
+        )
 
 
 class TestScore:
@@ -283,12 +299,22 @@ class TestBench:
         assert all(0.0 < s < 1.0 for s in scores)
 
     def test_sweep_alpha_bad_value(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            capsys, "bench", "advection", "--region", "CH",
-            "--ledger", str(tmp_path), "--sweep-alpha", "10,oops",
-        )
-        assert code == 1
-        assert "sweep-alpha" in err
+        # rejected before the run: nothing is solved, recorded or stored
+        for i, (value, message) in enumerate((
+            ("10,oops", "bad --sweep-alpha"),
+            (",", "at least one value"),
+            ("10,1", "alpha == 1"),
+        )):
+            ledger = tmp_path / str(i)
+            code, out, err = run_cli(
+                capsys, "bench", "advection", "--region", "CH",
+                "--ledger", str(ledger), "--sweep-alpha", value,
+            )
+            assert code == 1
+            assert message in err
+            assert out == ""
+            assert not (ledger / "Emissions").exists()
+            assert not (ledger / "run.json").exists()
 
     def test_unknown_workload_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -472,6 +498,89 @@ class TestReport:
             assert float(got["ecol2"]) == want["ecol2"]
             assert float(got["r"]) == want["r"]
             assert got["model"] == want["model"]
+
+
+SHARED_FLAGS = {
+    "--region": "NZ", "--power": "fixed:1", "--ledger": "elsewhere",
+    "--alpha": "10", "--beta": "0", "--n-infer": "2", "--format": "csv",
+    "--regions": "extra.csv", "--seed": "5",
+}
+
+# the shared flags each subcommand accepts: exactly those its cmd_* reads
+KEPT_FLAGS = {
+    "track": ("--region", "--power", "--ledger", "--regions"),
+    "score": ("--ledger", "--alpha", "--beta", "--n-infer", "--format"),
+    "bench": tuple(SHARED_FLAGS),
+    "regions": ("--ledger", "--alpha", "--beta", "--n-infer", "--format", "--regions"),
+    "report": ("--format",),
+}
+
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, kept in KEPT_FLAGS.items()
+    for flag in SHARED_FLAGS
+    if flag not in kept
+]
+
+
+class _ReadLog:
+    """Parsed arguments that log each attribute a subcommand reads."""
+
+    def __init__(self, args):
+        self._args = args
+        self.reads = set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self._args, name)
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        ledger = str(tmp_path)
+        before_flag, after_flag = {
+            "track": (["--stage", "operational", "--ledger", ledger],
+                      ["--", "python3", "-c", "pass"]),
+            "score": (["--ledger", ledger, "--r", "1e-2"], []),
+            "regions": (["CH", "--ledger", ledger, "--r", "1e-2"], []),
+            "report": ([ledger], []),
+        }[command]
+        code, out, err = run_cli(
+            capsys, command, *before_flag, flag, SHARED_FLAGS[flag], *after_flag
+        )
+        assert code == 1
+        assert err.startswith("usage error: unrecognized arguments: ")
+        assert flag in err
+        assert out == ""
+        assert not (tmp_path / "Emissions").exists()
+
+    def test_every_kept_flag_is_read(self, tmp_path, capsys):
+        ledger = str(tmp_path / "ledger")
+        extra = tmp_path / "extra.csv"
+        extra.write_text("iso_code,intensity_g_per_kwh\nXX,1.0\n")
+        values = dict(SHARED_FLAGS, **{"--ledger": ledger, "--regions": str(extra)})
+        # bench first: it leaves the records and run.json the others read
+        commands = {
+            "bench": ["advection"],
+            "track": ["--stage", "developmental"],
+            "score": ["--r", "1e-2"],
+            "regions": ["CH"],
+            "report": [ledger],
+        }
+        for command, own in commands.items():
+            argv = [command, *own]
+            for flag in KEPT_FLAGS[command]:
+                argv += [flag, values[flag]]
+            if command == "track":
+                argv += ["--", "python3", "-c", "pass"]
+            args = _build_parser().parse_args(argv)
+            log = _ReadLog(args)
+            assert args.func(log) == 0, command
+            capsys.readouterr()
+            unread = {flag for flag in KEPT_FLAGS[command]
+                      if flag[2:].replace("-", "_") not in log.reads}
+            assert unread == set(), command
 
 
 class TestOutputFormats:

@@ -13,7 +13,6 @@ from ecol2 import (
     LedgerError,
     LedgerStore,
     aggregate,
-    record,
     summarize,
 )
 

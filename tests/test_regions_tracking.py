@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -161,12 +162,12 @@ class FakeCounter:
 
     def __init__(self, watts=20.0):
         self.watts = watts
-        self.calls = 0
+        self.readings = []
 
     def __call__(self):
         # 1 "second" of fake elapsed time per poll
-        self.calls += 1
-        return self.watts * self.calls
+        self.readings.append((self.readings[-1] if self.readings else 0.0) + self.watts)
+        return self.readings[-1]
 
 
 class TestSampledSessions:
@@ -194,6 +195,22 @@ class TestSampledSessions:
         session.abandon()
         follow_up = start_session("operational", PowerModel.sampled(0.1), "CH")
         stop_session(follow_up)
+
+    def test_energy_is_the_counter_difference(self, monkeypatch):
+        counter = FakeCounter(watts=10.0)
+        monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: counter)
+        session = start_session("operational", PowerModel.sampled(0.1), "CH")
+        deadline = time.monotonic() + 10.0
+        for polls, watts in ((2, 100.0), (4, 1.0)):
+            while len(counter.readings) < polls and time.monotonic() < deadline:
+                time.sleep(0.01)
+            counter.watts = watts  # the power steps
+        rec = stop_session(session)
+        assert len(counter.readings) >= 5
+        # the trapezoid over the (t, W) trace would not give this back
+        delta = counter.readings[-1] - counter.readings[0]
+        assert rec.energy_kwh == pytest.approx(delta / 3.6e6, rel=1e-12)
+        assert rec.power_trace is not None
 
     def test_sampled_refuses_custom_clock(self, monkeypatch):
         monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: FakeCounter())

@@ -634,17 +634,16 @@ class TestPipeline:
 
     def test_spectral_run_makes_three_distinct_solves(self, monkeypatch):
         batches, solves = [], []
-        evolve_rows = datasets_module._evolve_rows
 
         def count_batch(equation, u0s, grid, **kwargs):
             batches.append((len(u0s), list(kwargs["trajectories"])))
-            return evolve_rows(equation, u0s, grid, **kwargs)
+            return spectral_solve_batch(equation, u0s, grid, **kwargs)
 
         def count_solve(equation, u0, grid, **kwargs):
             solves.append(kwargs.get("internal_nx"))
             return spectral_solve(equation, u0, grid, **kwargs)
 
-        monkeypatch.setattr(datasets_module, "_evolve_rows", count_batch)
+        monkeypatch.setattr(datasets_module, "spectral_solve_batch", count_batch)
         monkeypatch.setattr(pipeline_module, "spectral_solve", count_solve)
         run_pipeline("kdv", power=PowerModel.fixed(50.0), region="CH", seed=2)
         # one batch of the 4 dataset samples plus the reference as row 4, the
