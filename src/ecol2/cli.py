@@ -376,6 +376,11 @@ def cmd_bench(args) -> int:
         sweep_params = [replace(params, alpha=alpha) for alpha in alphas]
     power = PowerModel.parse(args.power)
     store = LedgerStore(args.ledger)
+    # a second run's records would merge into the first's in every later score
+    if (store.root / RUN_FILE).exists():
+        raise ValidationError(
+            f"{store.root / RUN_FILE} already holds a bench run; use a fresh --ledger"
+        )
     result = run_pipeline(
         args.workload,
         power,

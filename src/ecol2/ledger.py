@@ -99,12 +99,6 @@ class LedgerStore:
             raise ValidationError(f"stage must be one of {STAGES}, got {stage!r}")
         return self.emissions_dir / STAGE_DIRS[stage]
 
-    def stage_enabled(self, stage: str) -> bool:
-        return self.stage_dir(stage).is_dir()
-
-    def enable_stage(self, stage: str) -> None:
-        self.stage_dir(stage).mkdir(parents=True, exist_ok=True)
-
     def record(self, emission: EmissionRecord) -> Path:
         """Persist one record; returns the file written."""
         stage_dir = self.stage_dir(emission.stage)

@@ -33,8 +33,11 @@ class RegionRegistry:
     def from_csv(cls, path: str | Path) -> "RegionRegistry":
         """Bundled registry extended (or overridden) by a user CSV."""
         reg = cls.bundled()
-        with open(path, "r", encoding="utf-8") as fh:
-            reg._intensities.update(_parse(fh, source=str(path)))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                reg._intensities.update(_parse(fh, source=str(path)))
+        except OSError as err:
+            raise RegionError(f"{path}: cannot read regions file: {err.strerror}") from None
         return reg
 
     def lookup(self, iso_code: str) -> float:

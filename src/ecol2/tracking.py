@@ -26,8 +26,9 @@ STAGES = ("embodied", "developmental", "operational", "inference")
 
 JOULES_PER_KWH = 3.6e6
 
-SAMPLE_INTERVAL_MIN = 0.1
-SAMPLE_INTERVAL_MAX = 60.0
+# seconds between counter polls of a sampled session; the polls feed the
+# power trace and catch each counter wrap between start and stop
+POLL_INTERVAL_S = 1.0
 
 POWER_KINDS = ("sampled-hardware", "constant-rated", "synthetic-fixed")
 
@@ -36,28 +37,20 @@ POWER_KINDS = ("sampled-hardware", "constant-rated", "synthetic-fixed")
 class PowerModel:
     kind: str
     watts: float | None = None
-    sample_interval: float = 1.0
 
     def __post_init__(self):
         if self.kind not in POWER_KINDS:
             raise ParameterError(
                 f"power kind must be one of {POWER_KINDS}, got {self.kind!r}"
             )
-        if self.kind == "sampled-hardware":
-            if not SAMPLE_INTERVAL_MIN <= self.sample_interval <= SAMPLE_INTERVAL_MAX:
-                raise ParameterError(
-                    f"sample_interval must lie in [{SAMPLE_INTERVAL_MIN}, "
-                    f"{SAMPLE_INTERVAL_MAX}] s, got {self.sample_interval}"
-                )
-        else:
-            if self.watts is None or not self.watts > 0:
-                raise ParameterError(
-                    f"{self.kind} power model needs watts > 0, got {self.watts}"
-                )
+        if self.kind != "sampled-hardware" and (self.watts is None or not self.watts > 0):
+            raise ParameterError(
+                f"{self.kind} power model needs watts > 0, got {self.watts}"
+            )
 
     @classmethod
-    def sampled(cls, sample_interval: float = 1.0) -> "PowerModel":
-        return cls(kind="sampled-hardware", sample_interval=sample_interval)
+    def sampled(cls) -> "PowerModel":
+        return cls(kind="sampled-hardware")
 
     @classmethod
     def rated(cls, watts: float) -> "PowerModel":
@@ -307,7 +300,7 @@ class EmissionSession:
             self._thread.start()
 
     def _sample_loop(self):
-        while not self._stop_event.wait(self.power.sample_interval):
+        while not self._stop_event.wait(POLL_INTERVAL_S):
             self._samples.append((self.clock.now(), self._reader()))
 
     def stop(self, *, inference_count: int | None = None, failed: bool = False) -> EmissionRecord:

@@ -59,14 +59,6 @@ def from_physical(u):
     return np.fft.rfft(np.asarray(u, dtype=np.float64))
 
 
-def advection_upwind(u, nu, nsub):
-    """First-order upwind for u_t + beta u_x = 0, periodic, nu = beta dt/dx."""
-    u = np.array(u, dtype=np.float64, copy=True)
-    for _ in range(nsub):
-        u = u - nu * (u - np.roll(u, 1))
-    return u
-
-
 def advection_lax_wendroff(u, nu, nsub):
     """Second-order Lax-Wendroff, periodic, nu = beta dt/dx."""
     u = np.array(u, dtype=np.float64, copy=True)

@@ -1,9 +1,7 @@
 """Seeded input/output pair generation for the spectral problems.
 
 Initial conditions are short sine series with integer frequencies;
-dataset samples perturb the base series' amplitudes and phases.  The
-whole generation runs inside one embodied-stage emission session when a
-power model is supplied.
+dataset samples perturb the base series' amplitudes and phases.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import SolverError, ValidationError
-from ..tracking import EmissionRecord, PowerModel, charge_work, start_session
 from .grids import FieldSolution, Grid1D
 # spectral_solve is unused here but stays importable under this module's
 # name: perfbench/tracer.py wraps datasets.spectral_solve by name
@@ -112,75 +109,40 @@ def generate_dataset(
     seed: int,
     grid: Grid1D,
     *,
-    power: PowerModel | None = None,
-    region: str | None = None,
-    registry=None,
-    clock=None,
-    out_dir: str | Path | None = None,
     internal_nx: int | None = None,
     dt: float | None = None,
-    with_reference=None,
-) -> tuple[_Pairs, EmissionRecord | None] | tuple[_Pairs, EmissionRecord | None, FieldSolution]:
+) -> tuple[_Pairs, list[int], FieldSolution]:
     """(u0, u(T)) pairs from perturbed copies of the base spec.
 
-    Deterministic given the seed.  With a power model the generation is
-    wrapped in an embodied session and the record returned; otherwise the
-    record is None.  A blow-up names the failing sample and aborts.
-
-    with_reference, an initial field on the grid, is solved as one more
-    row of the samples' batch, neither charged to the session nor written
-    out; its FieldSolution (provenance reference-numeric) is returned
-    third, as (pairs, record, reference).
+    Deterministic given the seed.  The base spec's own field is solved as
+    the last row of the samples' batch; its FieldSolution (provenance
+    reference-numeric) is returned as the reference, after the pairs and
+    the work points of each sample.  A blow-up names the failing sample,
+    or the reference, and aborts.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    if with_reference is not None:
-        with_reference = np.asarray(with_reference, dtype=np.float64)
-        if with_reference.shape != (grid.nx,):
-            raise ValidationError(
-                f"reference u0 shape {with_reference.shape} does not match "
-                f"grid nx {grid.nx}"
-            )
     rng = np.random.default_rng(seed)
-    session = None
-    if power is not None:
-        if region is None:
-            raise ValidationError("region required when tracking emissions")
-        session = start_session(
-            "embodied", power, region, label="dataset", registry=registry, clock=clock
-        )
+    rows = [
+        generate_initial_condition(base_spec.perturbed(rng), grid)
+        for _ in range(count)
+    ]
+    rows.append(generate_initial_condition(base_spec, grid))
     try:
-        rows = [
-            generate_initial_condition(base_spec.perturbed(rng), grid)
-            for _ in range(count)
-        ]
-        if with_reference is not None:
-            rows.append(with_reference)
-        try:
-            solutions = spectral_solve_batch(
-                equation, np.stack(rows), grid, internal_nx=internal_nx, dt=dt,
-                trajectories=range(count, len(rows)),
-            )
-        except SolverError as err:
-            if err.row == count:
-                raise SolverError(f"reference solve failed: {err}") from err
-            raise SolverError(f"dataset sample {err.row} failed: {err}") from err
-        for sol in solutions[:count]:
-            charge_work(clock, sol.work_points)
-    except BaseException:
-        if session is not None:
-            session.abandon()
-        raise
-    pairs = [(u0, sol.final_state) for u0, sol in zip(rows[:count], solutions)]
-    record = session.stop() if session is not None else None
-    if out_dir is not None:
-        _write_dataset(Path(out_dir), equation, seed, base_spec, grid, pairs)
-    if with_reference is None:
-        return pairs, record
-    return pairs, record, solutions[count]
+        solutions = spectral_solve_batch(
+            equation, np.stack(rows), grid, internal_nx=internal_nx, dt=dt,
+            trajectories=[count],
+        )
+    except SolverError as err:
+        if err.row == count:
+            raise SolverError(f"reference solve failed: {err}") from err
+        raise SolverError(f"dataset sample {err.row} failed: {err}") from err
+    samples = solutions[:count]
+    pairs = [(u0, sol.final_state) for u0, sol in zip(rows, samples)]
+    return pairs, [sol.work_points for sol in samples], solutions[count]
 
 
-def _write_dataset(out_dir, equation, seed, base_spec, grid, pairs):
+def write_dataset(out_dir: Path, equation, seed, base_spec, grid, pairs) -> None:
     """header.json + u0.csv + uT.csv, rows = samples, full precision."""
     out_dir.mkdir(parents=True, exist_ok=True)
     header = {

@@ -1,6 +1,6 @@
 """Cheap classical solvers acting as the model under evaluation.
 
-advection: upwind (order 1) or Lax-Wendroff (order 2), periodic
+advection: Lax-Wendroff (order 2), periodic
 wave:      leapfrog with pinned ends, second-order Taylor start
 reaction:  pointwise RK4 (the PDE is an ODE at each spatial point)
 
@@ -32,7 +32,6 @@ def fd_solve(
     problem: str,
     grid: Grid1D | None = None,
     coeffs: PdeCoefficients | None = None,
-    scheme_order: int = 2,
     dt: float | None = None,
 ) -> FieldSolution:
     if problem not in FD_PROBLEMS:
@@ -42,17 +41,15 @@ def fd_solve(
     grid = grid or default_grid(problem)
     coeffs = coeffs or PdeCoefficients()
     if problem == "advection":
-        return _solve_advection(grid, coeffs, scheme_order, dt)
+        return _solve_advection(grid, coeffs, dt)
     if problem == "wave":
         return _solve_wave(grid, coeffs, dt)
     return _solve_reaction(grid, coeffs, dt)
 
 
-def _solve_advection(grid, coeffs, scheme_order, dt_forced):
+def _solve_advection(grid, coeffs, dt_forced):
     if not grid.periodic:
         raise ValidationError("advection grid must be periodic")
-    if scheme_order not in (1, 2):
-        raise ValidationError(f"advection scheme_order must be 1 or 2, got {scheme_order}")
     beta = coeffs.advection_speed
     dx = grid.dx
     nsub, dt = substeps(grid.dt_out, dx / beta * _CFL_SAFETY, dt_forced)
@@ -62,12 +59,11 @@ def _solve_advection(grid, coeffs, scheme_order, dt_forced):
             f"advection CFL violated: beta*dt/dx = {nu:.4g} > 1 "
             f"(beta={beta:g}, dt={dt:.4g}, dx={dx:.4g})"
         )
-    step = kernels.advection_upwind if scheme_order == 1 else kernels.advection_lax_wendroff
     values = np.empty((grid.nt, grid.nx))
     values[0] = np.sin(grid.x)
     u = values[0]
     for j in range(1, grid.nt):
-        u = step(u, nu, nsub)
+        u = kernels.advection_lax_wendroff(u, nu, nsub)
         values[j] = u
     return FieldSolution(
         grid, values, "model-numeric", work_points=(grid.nt - 1) * nsub * grid.nx

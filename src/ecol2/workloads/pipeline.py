@@ -9,14 +9,16 @@ Stage semantics:
 * operational: the final model solve at its chosen resolution.
 * inference: n_infer evaluation passes of the model against the reference.
 
-Every stage runs inside its own emission session.  Under a synthetic
-power model the sessions share a virtual clock charged per grid-point
-update, so the whole run is deterministic.
+Every stage runs inside its own emission session, opened and closed
+here.  A stage that raises leaves no record and releases its session.
+Under a synthetic power model the sessions share a virtual clock charged
+per grid-point update, so the whole run is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 from ..errors import ValidationError
 from ..ledger import LedgerStore, summarize
@@ -31,9 +33,14 @@ from ..tracking import (
 )
 from ._backend import BACKEND
 from .analytic import analytic_advection, analytic_reaction, analytic_wave
-from .datasets import InitialConditionSpec, generate_dataset, generate_initial_condition
+from .datasets import (
+    InitialConditionSpec,
+    generate_dataset,
+    generate_initial_condition,
+    write_dataset,
+)
 from .finite_difference import fd_solve
-from .grids import Grid1D, default_grid
+from .grids import default_grid
 from .spectral import internal_modes, spectral_solve
 
 WORKLOADS = ("advection", "reaction", "wave", "kdv", "ks")
@@ -89,52 +96,45 @@ def run_pipeline(
     grid = default_grid(workload)
     records: list[EmissionRecord] = []
 
-    def track(record):
+    @contextmanager
+    def stage(stage, label, inference_count=None):
+        """One emission session around the block; a raising block leaves no record."""
+        session = start_session(
+            stage, power, region, label=label, registry=registry, clock=clock
+        )
+        try:
+            yield
+        except BaseException:
+            session.abandon()
+            raise
+        record = stop_session(session, inference_count=inference_count)
         records.append(record)
         if store is not None:
             store.record(record)
-        return record
-
-    def session(stage, label):
-        return start_session(
-            stage, power, region, label=label, registry=registry, clock=clock
-        )
 
     if workload in _ANALYTIC_REFERENCES:
         reference = _ANALYTIC_REFERENCES[workload](grid)
-        trial_grids = [
-            Grid1D(grid.length, nx, grid.nt, grid.t_final, grid.periodic)
-            for nx in _FD_TRIAL_NX
-        ]
-        for trial_grid in trial_grids:
-            s = session("developmental", f"trial-nx{trial_grid.nx}")
-            trial = fd_solve(workload, trial_grid)
-            charge_work(clock, trial.work_points)
-            track(stop_session(s))
-        s = session("operational", "final-solve")
-        model = fd_solve(workload, grid)
-        charge_work(clock, model.work_points)
-        track(stop_session(s))
+        for nx in _FD_TRIAL_NX:
+            with stage("developmental", f"trial-nx{nx}"):
+                trial = fd_solve(workload, replace(grid, nx=nx))
+                charge_work(clock, trial.work_points)
+        with stage("operational", "final-solve"):
+            model = fd_solve(workload, grid)
+            charge_work(clock, model.work_points)
     else:
         base_spec = InitialConditionSpec.sample(seed)
+        # the reference is the last row of the dataset batch; its own stage
+        # below charges its work
+        with stage("embodied", "dataset"):
+            pairs, sample_points, reference = generate_dataset(
+                workload, dataset_count, base_spec, seed, grid
+            )
+            for points in sample_points:
+                charge_work(clock, points)
+        # written after the stage closes, so the file writes are not charged
+        if store is not None:
+            write_dataset(store.root / "dataset", workload, seed, base_spec, grid, pairs)
         u0 = generate_initial_condition(base_spec, grid)
-        dataset_dir = store.root / "dataset" if store is not None else None
-        # the reference is one more row of the dataset batch; its own stage
-        # below still charges its work
-        _, dataset_record, reference = generate_dataset(
-            workload,
-            dataset_count,
-            base_spec,
-            seed,
-            grid,
-            power=power,
-            region=region,
-            registry=registry,
-            clock=clock,
-            out_dir=dataset_dir,
-            with_reference=u0,
-        )
-        track(dataset_record)
         # every solve below starts from u0, so its dt follows from its mode
         # count; a stage whose modes match an earlier solve would repeat it
         # bit for bit, and reuses it instead while still charging its work
@@ -148,25 +148,21 @@ def run_pipeline(
                 )
             return solved[n]
 
-        s = session("embodied", "reference-solve")
-        charge_work(clock, reference.work_points)
-        track(stop_session(s))
+        with stage("embodied", "reference-solve"):
+            charge_work(clock, reference.work_points)
         for nx in _SPECTRAL_TRIAL_NX:
-            s = session("developmental", f"trial-modes{nx}")
-            trial = solve(nx, "model-numeric")
-            charge_work(clock, trial.work_points)
-            track(stop_session(s))
-        s = session("operational", "final-solve")
-        model = solve(_SPECTRAL_MODEL_NX, "model-numeric")
-        charge_work(clock, model.work_points)
-        track(stop_session(s))
+            with stage("developmental", f"trial-modes{nx}"):
+                trial = solve(nx, "model-numeric")
+                charge_work(clock, trial.work_points)
+        with stage("operational", "final-solve"):
+            model = solve(_SPECTRAL_MODEL_NX, "model-numeric")
+            charge_work(clock, model.work_points)
 
     passes = max(1, params.n_infer)
-    s = session("inference", "evaluation")
-    for _ in range(passes):
-        report = error_metrics(model.values, reference.values)
-        charge_work(clock, grid.nt * grid.nx)
-    track(stop_session(s, inference_count=passes))
+    with stage("inference", "evaluation", inference_count=passes):
+        for _ in range(passes):
+            report = error_metrics(model.values, reference.values)
+            charge_work(clock, grid.nt * grid.nx)
 
     carbon = summarize(records)
     score = ecol2(report.relative_l2, carbon, params)

@@ -316,6 +316,26 @@ class TestBench:
             assert not (ledger / "Emissions").exists()
             assert not (ledger / "run.json").exists()
 
+    def test_second_bench_into_a_ledger_is_refused(self, tmp_path, capsys):
+        # one bench run per ledger: a second run's records would be summed
+        # into the first's by every later score
+        (first,), _ = self.bench(capsys, tmp_path, "advection")
+        count = sum(len(recs) for recs in LedgerStore(tmp_path).read_all().values())
+        run_file = (tmp_path / "run.json").read_bytes()
+        code, out, err = run_cli(
+            capsys, "bench", "advection", "--region", "CH", "--seed", "7",
+            "--ledger", str(tmp_path), "--format", "json",
+        )
+        assert code == 1
+        assert str(tmp_path / "run.json") in err
+        assert out == ""
+        assert sum(len(recs) for recs in LedgerStore(tmp_path).read_all().values()) == count
+        assert (tmp_path / "run.json").read_bytes() == run_file
+        (row,), _ = run_json(capsys, "report", str(tmp_path))
+        assert row["r"] == first["r"]
+        assert row["c_total"] == pytest.approx(first["c_total"], rel=1e-12)
+        assert row["ecol2"] == pytest.approx(first["ecol2"], rel=1e-12)
+
     def test_unknown_workload_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "bench", "burgers", "--region", "CH", "--ledger", str(tmp_path)
@@ -581,6 +601,31 @@ class TestSharedFlags:
             unread = {flag for flag in KEPT_FLAGS[command]
                       if flag[2:].replace("-", "_") not in log.reads}
             assert unread == set(), command
+
+
+class TestRegionsFile:
+    @pytest.mark.parametrize("command", ("regions", "bench", "track"))
+    def test_missing_file_is_an_input_error(self, tmp_path, capsys, monkeypatch, command):
+        ledger = tmp_path / "ledger"
+        missing = tmp_path / "missing.csv"
+        marker = tmp_path / "child-ran"
+        monkeypatch.setattr("ecol2.cli.run_pipeline", lambda *a, **k: pytest.fail("ran"))
+        argv = {
+            "regions": ["regions", "CH", "--ledger", str(ledger), "--r", "1e-2"],
+            "bench": ["bench", "advection", "--region", "CH", "--ledger", str(ledger)],
+            "track": ["track", "--stage", "operational", "--region", "CH",
+                      "--ledger", str(ledger)],
+        }[command]
+        argv += ["--regions", str(missing)]
+        if command == "track":
+            argv += ["--", "python3", "-c", f"open({str(marker)!r}, 'w')"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert str(missing) in err
+        assert out == ""
+        assert not ledger.exists()
+        assert not marker.exists()
 
 
 class TestOutputFormats:

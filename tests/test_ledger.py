@@ -66,13 +66,13 @@ class TestLayout:
 
     def test_disabled_stage_reads_empty(self, tmp_path):
         store = LedgerStore(tmp_path)
-        assert not store.stage_enabled("embodied")
+        assert not store.stage_dir("embodied").is_dir()
         assert store.read_stage("embodied") == []
 
     def test_recording_enables_stage(self, tmp_path):
         store = LedgerStore(tmp_path)
         store.record(make_record("embodied", 1e-4))
-        assert store.stage_enabled("embodied")
+        assert store.stage_dir("embodied").is_dir()
 
 
 class TestRoundTrip:

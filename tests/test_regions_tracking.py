@@ -81,11 +81,6 @@ class TestPowerModel:
         with pytest.raises(ParameterError):
             PowerModel(kind="synthetic-fixed", watts=watts)
 
-    @pytest.mark.parametrize("interval", (0.05, 61.0))
-    def test_sample_interval_bounds(self, interval):
-        with pytest.raises(ParameterError):
-            PowerModel.sampled(sample_interval=interval)
-
 
 def run_fixed_session(watts, seconds, region, **kwargs):
     clock = VirtualClock()
@@ -173,33 +168,34 @@ class FakeCounter:
 class TestSampledSessions:
     def test_exclusive_access(self, monkeypatch):
         monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: FakeCounter())
-        first = start_session("operational", PowerModel.sampled(0.1), "CH")
+        first = start_session("operational", PowerModel.sampled(), "CH")
         try:
             with pytest.raises(TrackingError, match="already active"):
-                start_session("operational", PowerModel.sampled(0.1), "CH")
+                start_session("operational", PowerModel.sampled(), "CH")
         finally:
             rec = stop_session(first)
         assert rec.power_trace is not None
         # released: a new sampled session may start again
-        second = start_session("operational", PowerModel.sampled(0.1), "CH")
+        second = start_session("operational", PowerModel.sampled(), "CH")
         stop_session(second)
 
     def test_no_counters_available(self, monkeypatch):
         monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: None)
         with pytest.raises(TrackingError, match="rated:<W> or fixed:<W>"):
-            start_session("operational", PowerModel.sampled(0.1), "CH")
+            start_session("operational", PowerModel.sampled(), "CH")
 
     def test_abandon_releases_sampler(self, monkeypatch):
         monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: FakeCounter())
-        session = start_session("operational", PowerModel.sampled(0.1), "CH")
+        session = start_session("operational", PowerModel.sampled(), "CH")
         session.abandon()
-        follow_up = start_session("operational", PowerModel.sampled(0.1), "CH")
+        follow_up = start_session("operational", PowerModel.sampled(), "CH")
         stop_session(follow_up)
 
     def test_energy_is_the_counter_difference(self, monkeypatch):
         counter = FakeCounter(watts=10.0)
         monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: counter)
-        session = start_session("operational", PowerModel.sampled(0.1), "CH")
+        monkeypatch.setattr(tracking, "POLL_INTERVAL_S", 0.1)
+        session = start_session("operational", PowerModel.sampled(), "CH")
         deadline = time.monotonic() + 10.0
         for polls, watts in ((2, 100.0), (4, 1.0)):
             while len(counter.readings) < polls and time.monotonic() < deadline:
@@ -215,7 +211,7 @@ class TestSampledSessions:
     def test_sampled_refuses_custom_clock(self, monkeypatch):
         monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: FakeCounter())
         with pytest.raises(TrackingError):
-            EmissionSession("operational", PowerModel.sampled(0.1), "CH",
+            EmissionSession("operational", PowerModel.sampled(), "CH",
                             clock=VirtualClock())
 
 

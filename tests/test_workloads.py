@@ -1,13 +1,16 @@
 """Solvers and data generation: analytic forms, FD schemes, spectral core."""
 
+import itertools
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ecol2 import (
+    LedgerStore,
     PowerModel,
     SolverError,
     StabilityError,
@@ -32,8 +35,10 @@ from ecol2.workloads import (
     spectral_solve,
     spectral_solve_batch,
 )
+from ecol2 import tracking
 from ecol2.tracking import charge_work
 from ecol2.workloads import datasets as datasets_module
+from ecol2.workloads.datasets import write_dataset
 from ecol2.workloads import pipeline as pipeline_module
 from ecol2.workloads import _kernels_py, spectral as spectral_module
 
@@ -219,7 +224,7 @@ class TestFiniteDifference:
         # independent single-file Lax-Wendroff, periodic, same stepping rule
         grid = replace(default_grid("advection"), nx=128, nt=11)
         beta = 10.0
-        sol = fd_solve("advection", grid, scheme_order=2)
+        sol = fd_solve("advection", grid)
         nsub = sol.work_points // ((grid.nt - 1) * grid.nx)
         dt = grid.dt_out / nsub
         nu = beta * dt / grid.dx
@@ -233,13 +238,6 @@ class TestFiniteDifference:
         r_theirs = rel_l2(sol.values, analytic_advection(grid).values)
         r_mine = rel_l2(np.array(mine), analytic_advection(grid).values)
         assert r_theirs == pytest.approx(r_mine, rel=1e-12)
-
-    def test_first_order_scheme_is_worse(self):
-        grid = replace(default_grid("advection"), nx=128)
-        ref = analytic_advection(grid).values
-        e1 = rel_l2(fd_solve("advection", grid, scheme_order=1).values, ref)
-        e2 = rel_l2(fd_solve("advection", grid, scheme_order=2).values, ref)
-        assert e1 > e2
 
     def test_advection_cfl_violation_names_bound(self):
         with pytest.raises(StabilityError, match="CFL") as err:
@@ -498,7 +496,7 @@ class TestDatasets:
         base = InitialConditionSpec(amplitudes=(0.3, 0.2), frequencies=(1, 2),
                                     phases=(0.0, 1.0), eps_amplitude=0.0,
                                     eps_phase=0.0, seed=0)
-        pairs, _ = generate_dataset("ks", 1, base, 5, grid, internal_nx=128)
+        pairs, _, _ = generate_dataset("ks", 1, base, 5, grid, internal_nx=128)
         u0 = generate_initial_condition(base, grid)
         ref = spectral_solve("ks", u0, grid, internal_nx=128)
         np.testing.assert_array_equal(pairs[0][0], u0)
@@ -507,8 +505,8 @@ class TestDatasets:
     def test_same_seed_bit_identical(self):
         grid = self.make_grid()
         base = InitialConditionSpec.sample(4)
-        a, _ = generate_dataset("ks", 3, base, 11, grid, internal_nx=128)
-        b, _ = generate_dataset("ks", 3, base, 11, grid, internal_nx=128)
+        a, _, _ = generate_dataset("ks", 3, base, 11, grid, internal_nx=128)
+        b, _, _ = generate_dataset("ks", 3, base, 11, grid, internal_nx=128)
         for (u0a, uta), (u0b, utb) in zip(a, b):
             np.testing.assert_array_equal(u0a, u0b)
             np.testing.assert_array_equal(uta, utb)
@@ -516,16 +514,13 @@ class TestDatasets:
     def test_different_seed_differs(self):
         grid = self.make_grid()
         base = InitialConditionSpec.sample(4)
-        a, _ = generate_dataset("ks", 1, base, 11, grid, internal_nx=128)
-        b, _ = generate_dataset("ks", 1, base, 12, grid, internal_nx=128)
+        a, _, _ = generate_dataset("ks", 1, base, 11, grid, internal_nx=128)
+        b, _, _ = generate_dataset("ks", 1, base, 12, grid, internal_nx=128)
         assert not np.array_equal(a[0][0], b[0][0])
 
     def test_embodied_record_is_power_times_time(self):
-        grid = self.make_grid()
-        base = InitialConditionSpec.sample(4)
-        _, rec = generate_dataset(
-            "ks", 2, base, 11, grid, power=PowerModel.fixed(50.0), region="CH",
-            clock=VirtualClock(), internal_nx=128)
+        res = run_pipeline("ks", power=PowerModel.fixed(50.0), region="CH", seed=4)
+        (rec,) = [r for r in res.records if r.label == "dataset"]
         assert rec.stage == "embodied"
         assert rec.duration_s > 0.0
         assert rec.energy_kwh == pytest.approx(50.0 * rec.duration_s / 3.6e6,
@@ -536,8 +531,8 @@ class TestDatasets:
     def test_dataset_files_round_trip_full_precision(self, tmp_path):
         grid = self.make_grid()
         base = InitialConditionSpec.sample(4)
-        pairs, _ = generate_dataset("ks", 2, base, 11, grid, internal_nx=128,
-                                    out_dir=tmp_path / "ds")
+        pairs, _, _ = generate_dataset("ks", 2, base, 11, grid, internal_nx=128)
+        write_dataset(tmp_path / "ds", "ks", 11, base, grid, pairs)
         header = json.loads((tmp_path / "ds" / "header.json").read_text())
         assert header["equation"] == "ks"
         assert header["count"] == 2
@@ -555,44 +550,36 @@ class TestDatasets:
         with pytest.raises(SolverError, match="sample 0"):
             generate_dataset("kdv", 2, bad, 7, grid, dt=0.5, internal_nx=64)
 
-    def test_reference_row_leaves_samples_unchanged(self, tmp_path):
+    def test_reference_row_leaves_samples_unchanged(self):
         # kdv stores 100 points and solves on 256 modes, so both the kept
         # trajectory and the final-state-only rows are resampled
         grid = replace(default_grid("kdv"), nt=11, t_final=1.0)
         base = InitialConditionSpec.sample(4)
+        pairs, points, reference = generate_dataset("kdv", 3, base, 11, grid)
+        rng = np.random.default_rng(11)
+        assert len(pairs) == len(points) == 3
+        # each sample is what a one-row solve gives, and is charged only its
+        # own work; the reference row adds neither a pair nor a charge
+        for (u0, uT), p in zip(pairs, points):
+            alone_u0 = generate_initial_condition(base.perturbed(rng), grid)
+            alone = spectral_solve("kdv", alone_u0, grid)
+            assert u0.tobytes() == alone_u0.tobytes()
+            assert uT.tobytes() == alone.values[-1].tobytes()
+            assert p == alone.work_points
         u0 = generate_initial_condition(base, grid)
-        tracked = dict(power=PowerModel.fixed(50.0), region="CH")
-        plain, plain_rec = generate_dataset(
-            "kdv", 3, base, 11, grid, clock=VirtualClock(), out_dir=tmp_path / "a",
-            **tracked)
-        pairs, rec, reference = generate_dataset(
-            "kdv", 3, base, 11, grid, clock=VirtualClock(), out_dir=tmp_path / "b",
-            with_reference=u0, **tracked)
-        assert len(pairs) == len(plain) == 3
-        for (a0, aT), (b0, bT) in zip(plain, pairs):
-            assert a0.tobytes() == b0.tobytes()
-            assert aT.tobytes() == bT.tobytes()
-        # the reference row is neither charged nor written out
-        assert rec.duration_s == plain_rec.duration_s
-        for name in ("header.json", "u0.csv", "uT.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert_same_solution(reference, spectral_solve("kdv", u0, grid))
 
-    def test_blow_up_in_reference_row_names_the_reference(self):
+    def test_blow_up_in_reference_row_names_the_reference(self, monkeypatch):
+        def reference_fails(equation, u0s, grid, **kwargs):
+            raise SolverError("non-finite state", row=len(u0s) - 1)
+
+        monkeypatch.setattr(datasets_module, "spectral_solve_batch", reference_fails)
         grid = Grid1D(length=64.0, nx=64, nt=11, t_final=10.0)
         calm = InitialConditionSpec(amplitudes=(0.1,), frequencies=(1,),
                                     phases=(0.0,), seed=1)
-        wild = 40.0 * np.sin(2.0 * np.pi * grid.x / grid.length)
         with pytest.raises(SolverError, match="reference solve failed") as info:
-            generate_dataset("kdv", 2, calm, 7, grid, dt=0.5, internal_nx=64,
-                             with_reference=wild)
+            generate_dataset("kdv", 2, calm, 7, grid, dt=0.5, internal_nx=64)
         assert "sample" not in str(info.value)
-
-    def test_reference_shape_validated(self):
-        grid = self.make_grid()
-        with pytest.raises(ValidationError, match="reference"):
-            generate_dataset("ks", 1, InitialConditionSpec.sample(4), 1, grid,
-                             with_reference=np.zeros(grid.nx + 1))
 
     def test_count_must_be_positive(self):
         base = InitialConditionSpec.sample(4)
@@ -624,7 +611,7 @@ class TestPipeline:
         assert a.error.relative_l2 == b.error.relative_l2
 
     def test_store_persistence(self, tmp_path):
-        from ecol2 import LedgerStore, aggregate
+        from ecol2 import aggregate
 
         store = LedgerStore(tmp_path)
         res = run_pipeline("reaction", power=PowerModel.fixed(50.0), region="CH",
@@ -697,6 +684,50 @@ class TestPipeline:
                 charge_work(clock, p)
             expected[label] = clock.now() - t0
         assert {r.label: r.duration_s for r in res.records} == expected
+
+    def test_failed_stage_releases_the_sampler(self, monkeypatch):
+        # a sampled session polls the counters on its own thread and holds
+        # them for the process; a stage that raises must release both, or no
+        # later sampled session can start
+        monkeypatch.setattr(tracking, "_hardware_energy_reader",
+                            lambda: itertools.count(0.0, 20.0).__next__)
+        threads = threading.active_count()
+
+        def fails(*args, **kwargs):
+            raise SolverError("stage failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline_module, "fd_solve", fails)
+            with pytest.raises(SolverError, match="stage failed"):
+                run_pipeline("advection", PowerModel.sampled(), "CH")
+        assert threading.active_count() == threads
+        res = run_pipeline("advection", PowerModel.sampled(), "CH")
+        assert [r.label for r in res.records] == [
+            "trial-nx64", "trial-nx128", "final-solve", "evaluation"]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workload, name, fail_on, kept, dataset_written", (
+        ("kdv", "generate_dataset", 1, [], False),
+        ("kdv", "spectral_solve", 1, ["dataset", "reference-solve"], True),
+        ("advection", "fd_solve", 3, ["trial-nx64", "trial-nx128"], False),
+    ))
+    def test_failed_stage_leaves_no_record(self, tmp_path, monkeypatch, workload,
+                                           name, fail_on, kept, dataset_written):
+        real, calls = getattr(pipeline_module, name), []
+
+        def fails_once(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == fail_on:
+                raise SolverError("stage failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, name, fails_once)
+        store = LedgerStore(tmp_path)
+        with pytest.raises(SolverError, match="stage failed"):
+            run_pipeline(workload, PowerModel.fixed(50.0), "CH", seed=2, store=store)
+        stored = [r.label for recs in store.read_all().values() for r in recs]
+        assert sorted(stored) == sorted(kept)
+        assert (tmp_path / "dataset").exists() == dataset_written
 
     def test_model_error_is_moderate(self):
         # the coarse stand-in solver should be imperfect but usable
