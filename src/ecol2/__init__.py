@@ -31,14 +31,13 @@ from .metrics import (
     error_metrics,
     sweep,
 )
-from .regions import RegionRegistry, default_registry, region_lookup
+from .regions import RegionRegistry, default_registry
 from .tracking import (
     EmissionRecord,
     PowerModel,
     VirtualClock,
     start_session,
     stop_session,
-    trapezoid_energy_kwh,
     what_if_region,
 )
 
@@ -72,12 +71,10 @@ __all__ = [
     "error_metrics",
     "import_emissions_csv",
     "import_field_csv",
-    "region_lookup",
     "start_session",
     "stop_session",
     "summarize",
     "sweep",
-    "trapezoid_energy_kwh",
     "what_if_region",
     "__version__",
 ]

@@ -4,7 +4,8 @@ Subcommands: track (wrap a command in an emission session), score (score a
 ledger against fields or a given error), bench (run a built-in workload
 end to end), regions (what-if emission comparison), report (multi-ledger
 summary).  Exit codes: 0 success, 1 usage or validation error, 2 runtime
-failure; track propagates the child's exit code.
+failure; track propagates the child's exit code, and exits 128 + the
+signal number when SIGINT or SIGTERM ends the child.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv as csv_mod
 import json
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -38,53 +40,6 @@ DEFAULT_N_INFER = 1
 DEFAULT_POWER = "fixed:50"
 
 RUN_FILE = "run.json"
-
-_BENCH_FIELDS = [
-    "workload",
-    "seed",
-    "backend",
-    "region",
-    "alpha",
-    "beta",
-    "n_infer",
-    "r",
-    "rmse",
-    "max_error",
-    "mae",
-    "c_embodied",
-    "c_developmental",
-    "c_operational",
-    "c_inference",
-    "c_total",
-    "ecol2",
-    "inaccurate",
-]
-
-_SCORE_FIELDS = [
-    "r",
-    "rmse",
-    "max_error",
-    "mae",
-    "c_embodied",
-    "c_developmental",
-    "c_operational",
-    "c_inference",
-    "c_total",
-    "ecol2",
-    "inaccurate",
-]
-
-_REGIONS_FIELDS = [
-    "region",
-    "duration_s",
-    "c_operational",
-    "c_inference",
-    "c_total",
-    "ecol2",
-]
-
-_REPORT_FIELDS = ["model", "workload", "r", "c_total", "ecol2"]
-
 
 class _UsageError(ValidationError):
     pass
@@ -135,7 +90,7 @@ def _build_parser() -> _Parser:
     _shared_options(p_track, "--region", "--power", "--ledger", "--regions")
     p_track.add_argument("--stage", required=True)
     p_track.add_argument("--label", default="")
-    p_track.add_argument("child", nargs=argparse.REMAINDER, metavar="-- command ...")
+    p_track.add_argument("child", nargs="*", metavar="-- command ...")
     p_track.set_defaults(func=cmd_track)
 
     p_score = sub.add_parser("score", help="score a ledger against prediction fields")
@@ -196,8 +151,10 @@ def _csv_cell(value):
     return value
 
 
-def emit(rows: list[dict], fields: list[str], fmt: str, out=None) -> None:
+def emit(rows: list[dict], fmt: str, out=None) -> None:
+    """Print rows; the columns are the first row's keys, in order."""
     out = out or sys.stdout
+    fields = list(rows[0])
     if fmt == "json":
         out.write(json.dumps(rows, sort_keys=True, indent=1) + "\n")
         return
@@ -266,13 +223,19 @@ def _read_run(root: Path) -> dict | None:
 # --- subcommands ---
 
 
+class _Terminated(Exception):
+    """SIGTERM arrived while a tracked child ran."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
 def cmd_track(args) -> int:
     stage = args.stage
     if stage not in STAGES:
         raise _UsageError(f"--stage must be one of {STAGES}, got {stage!r}")
-    child = list(args.child)
-    if child and child[0] == "--":
-        child = child[1:]
+    child = args.child
     if not child:
         raise _UsageError("no command given; use: track --stage <stage> -- cmd ...")
     region = _require_region(args)
@@ -284,11 +247,18 @@ def cmd_track(args) -> int:
         label=args.label or Path(child[0]).name,
         registry=registry,
     )
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         code = subprocess.run(child).returncode
     except FileNotFoundError as err:
         session.abandon()
         raise ValidationError(f"cannot run {child[0]!r}: {err}") from err
+    except KeyboardInterrupt:
+        code = 128 + signal.SIGINT
+    except _Terminated:
+        code = 128 + signal.SIGTERM
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     record = stop_session(session, failed=code != 0)
     path = store.record(record)
     print(f"recorded {record.stage} {record.emissions_kg:.6e} kgCO2 -> {path}")
@@ -336,7 +306,7 @@ def cmd_score(args) -> int:
         "ecol2": score.value,
         "inaccurate": score.inaccurate,
     }
-    emit([row], _SCORE_FIELDS, args.format)
+    emit([row], args.format)
     for note in score.warnings:
         print(f"note: {note}", file=sys.stderr)
     return 0
@@ -405,7 +375,7 @@ def cmd_bench(args) -> int:
                  ecol2=ecol2(result.error.relative_l2, result.carbon, p).value)
             for p in sweep_params
         ]
-    emit(rows, _BENCH_FIELDS, args.format)
+    emit(rows, args.format)
     return 0
 
 
@@ -443,7 +413,7 @@ def cmd_regions(args) -> int:
                 "ecol2": score.value,
             }
         )
-    emit(rows, _REGIONS_FIELDS, args.format)
+    emit(rows, args.format)
     return 0
 
 
@@ -470,7 +440,7 @@ def cmd_report(args) -> int:
                 "ecol2": score.value,
             }
         )
-    emit(rows, _REPORT_FIELDS, args.format)
+    emit(rows, args.format)
     return 0
 
 

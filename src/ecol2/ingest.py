@@ -8,6 +8,7 @@ no header) for predictions and references.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from pathlib import Path
 
@@ -47,11 +48,14 @@ def _cell(row: dict, column: str | None) -> str | None:
 
 def _parse_float(text: str, what: str, path: Path, row_no: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise IngestError(
             f"{path}, row {row_no}: {what} {text!r} is not a number"
         ) from None
+    if not math.isfinite(value):
+        raise IngestError(f"{path}, row {row_no}: {what} {text!r} is not finite")
+    return value
 
 
 def import_emissions_csv(
@@ -134,6 +138,8 @@ def _row_to_record(row, row_no, stage, columns, registry, path) -> EmissionRecor
                 "energy and region"
             )
         emissions_kg = emissions_kg_from_energy(energy_kwh, registry.lookup(region))
+        if not math.isfinite(emissions_kg):
+            raise IngestError(f"{path}, row {row_no}: energy x intensity overflows")
 
     return EmissionRecord(
         stage=stage,

@@ -53,9 +53,6 @@ class RegionRegistry:
     def __contains__(self, iso_code: str) -> bool:
         return iso_code in self._intensities
 
-    def codes(self) -> list[str]:
-        return sorted(self._intensities)
-
 
 def _parse(fh, source: str) -> dict[str, float]:
     reader = csv.reader(fh)
@@ -96,6 +93,3 @@ def default_registry() -> RegionRegistry:
         _default = RegionRegistry.bundled()
     return _default
 
-
-def region_lookup(iso_code: str, registry: RegionRegistry | None = None) -> float:
-    return (registry or default_registry()).lookup(iso_code)

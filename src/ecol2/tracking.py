@@ -14,6 +14,7 @@ kgCO2 through the regional grid intensity.  Three power sources:
 from __future__ import annotations
 
 import glob
+import math
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -96,8 +97,8 @@ class EmissionRecord:
             raise ValidationError(f"stage must be one of {STAGES}, got {self.stage!r}")
         for name in ("energy_kwh", "duration_s", "emissions_kg"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v >= 0):
-                raise ValidationError(f"{name} must be >= 0, got {v!r}")
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
 
     def to_dict(self) -> dict:
         out = {
@@ -140,19 +141,6 @@ class EmissionRecord:
 
 def emissions_kg_from_energy(energy_kwh: float, intensity_g_per_kwh: float) -> float:
     return energy_kwh * intensity_g_per_kwh / 1000.0
-
-
-def trapezoid_energy_kwh(trace) -> float:
-    """Trapezoidal integral of a [(t_s, watts), ...] trace, in kWh."""
-    pts = list(trace)
-    if len(pts) < 2:
-        raise TrackingError("power trace needs at least 2 samples")
-    joules = 0.0
-    for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
-        if t1 < t0:
-            raise TrackingError("power trace timestamps must be non-decreasing")
-        joules += 0.5 * (p0 + p1) * (t1 - t0)
-    return joules / JOULES_PER_KWH
 
 
 class VirtualClock:
@@ -237,12 +225,12 @@ def _hardware_energy_reader() -> Callable[[], float] | None:
     return reader.read_joules
 
 
-_sampler_guard = threading.Lock()
-_sampler_busy = False
+# the counters are machine-global: held by the one active sampled session
+_sampler_lock = threading.Lock()
 
 
 class EmissionSession:
-    """An open measurement bracket; produced by start_session."""
+    """An open measurement bracket; `start_session` is this class."""
 
     def __init__(
         self,
@@ -252,71 +240,75 @@ class EmissionSession:
         *,
         label: str = "",
         registry: RegionRegistry | None = None,
-        intensity_g_per_kwh: float | None = None,
         clock=None,
     ):
         if stage not in STAGES:
             raise ValidationError(f"stage must be one of {STAGES}, got {stage!r}")
-        registry = registry or default_registry()
-        if intensity_g_per_kwh is None:
-            intensity_g_per_kwh = registry.lookup(region)
-        elif not intensity_g_per_kwh > 0:
-            raise RegionError("intensity override must be positive")
+        intensity = (registry or default_registry()).lookup(region)
         if clock is not None and power.kind == "sampled-hardware":
             raise TrackingError("sampled sessions run on the wall clock only")
         self.stage = stage
         self.power = power
         self.region = region
         self.label = label or stage
-        self.intensity = intensity_g_per_kwh
+        self.intensity = intensity
         self.clock = clock if clock is not None else _WallClock()
         self._closed = False
         self._thread = None
-        self._stop_event = None
         self._samples: list[tuple[float, float]] = []
         self._reader = None
 
-        if power.kind == "sampled-hardware":
-            global _sampler_busy
-            with _sampler_guard:
-                if _sampler_busy:
-                    raise TrackingError(
-                        "a sampled session is already active; "
-                        "hardware counters cannot be shared"
-                    )
-                reader = _hardware_energy_reader()
-                if reader is None:
-                    raise TrackingError(
-                        "no hardware energy counters readable; "
-                        "use rated:<W> or fixed:<W>"
-                    )
-                _sampler_busy = True
-            self._reader = reader
+        if power.kind != "sampled-hardware":
+            self._t0 = self.clock.now()
+            return
+        if not _sampler_lock.acquire(blocking=False):
+            raise TrackingError(
+                "a sampled session is already active; "
+                "hardware counters cannot be shared"
+            )
+        try:
+            self._reader = _hardware_energy_reader()
+            if self._reader is None:
+                raise TrackingError(
+                    "no hardware energy counters readable; "
+                    "use rated:<W> or fixed:<W>"
+                )
             self._stop_event = threading.Event()
-        self._t0 = self.clock.now()
-        if self._reader is not None:
-            self._samples.append((self._t0, self._reader()))
+            self._t0 = self.clock.now()
+            self._samples.append((self._t0, self._read()))
             self._thread = threading.Thread(target=self._sample_loop, daemon=True)
             self._thread.start()
+        except BaseException:
+            _sampler_lock.release()
+            raise
+
+    def _read(self) -> float:
+        try:
+            return self._reader()
+        except OSError as err:
+            raise TrackingError(f"cannot read hardware energy counters: {err}") from err
 
     def _sample_loop(self):
         while not self._stop_event.wait(POLL_INTERVAL_S):
             self._samples.append((self.clock.now(), self._reader()))
 
+    def _close(self) -> None:
+        """Stop the polling thread and release the counters."""
+        self._closed = True
+        if self._thread is not None:
+            self._stop_event.set()
+            self._thread.join()
+            _sampler_lock.release()
+
     def stop(self, *, inference_count: int | None = None, failed: bool = False) -> EmissionRecord:
         if self._closed:
             raise TrackingError("session already stopped")
-        self._closed = True
         t1 = self.clock.now()
         duration = t1 - self._t0
+        self._close()
         trace = None
-        if self.power.kind == "sampled-hardware":
-            self._stop_event.set()
-            self._thread.join()
-            self._samples.append((t1, self._reader()))
-            global _sampler_busy
-            with _sampler_guard:
-                _sampler_busy = False
+        if self._reader is not None:
+            self._samples.append((t1, self._read()))
             trace = _power_trace(self._samples)
             # the counters measured the energy; integrating the trace would
             # not give it back once the power varies
@@ -344,15 +336,8 @@ class EmissionSession:
 
     def abandon(self) -> None:
         """Release resources without producing a record."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.power.kind == "sampled-hardware":
-            self._stop_event.set()
-            self._thread.join()
-            global _sampler_busy
-            with _sampler_guard:
-                _sampler_busy = False
+        if not self._closed:
+            self._close()
 
 
 def _power_trace(samples: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -370,25 +355,7 @@ def _power_trace(samples: list[tuple[float, float]]) -> tuple[tuple[float, float
     return tuple([(0.0, pts[0][1])] + pts)
 
 
-def start_session(
-    stage: str,
-    power: PowerModel,
-    region: str,
-    *,
-    label: str = "",
-    registry: RegionRegistry | None = None,
-    intensity_g_per_kwh: float | None = None,
-    clock=None,
-) -> EmissionSession:
-    return EmissionSession(
-        stage,
-        power,
-        region,
-        label=label,
-        registry=registry,
-        intensity_g_per_kwh=intensity_g_per_kwh,
-        clock=clock,
-    )
+start_session = EmissionSession
 
 
 def stop_session(

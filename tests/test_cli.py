@@ -7,9 +7,16 @@ its child as a real subprocess, which is the behavior under test.
 
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ecol2
 from ecol2 import LedgerStore, aggregate
 from ecol2.cli import _build_parser, main
 
@@ -119,6 +126,61 @@ class TestTrack:
         assert code == 1
         assert "cannot run" in err
         assert LedgerStore(tmp_path).read_stage("operational") == []
+
+    def test_undefined_flag_before_the_child_is_named(self, tmp_path, capsys):
+        marker = tmp_path / "child-ran"
+        for argv in (
+            ("--alpha", "10", "--stage", "operational"),
+            ("--stage", "operational", "--alpha", "10"),
+        ):
+            code, _, err = run_cli(
+                capsys, "track", *argv, "--region", "CH", "--ledger", str(tmp_path),
+                "--", "python3", "-c", f"open({str(marker)!r}, 'w')",
+            )
+            assert code == 1
+            assert "unrecognized arguments: --alpha" in err
+        assert not marker.exists()
+        assert not (tmp_path / "Emissions").exists()
+
+    def test_everything_after_the_separator_reaches_the_child(self, tmp_path, capsys):
+        argv_file = tmp_path / "argv.json"
+        script = f"import json, sys; open({str(argv_file)!r}, 'w').write(json.dumps(sys.argv[1:]))"
+        code, _, err = self.track(
+            capsys, tmp_path,
+            child=("python3", "-c", script, "--stage", "embodied", "--", "-x"),
+        )
+        assert code == 0, err
+        assert json.loads(argv_file.read_text()) == ["--stage", "embodied", "--", "-x"]
+        assert len(LedgerStore(tmp_path).read_stage("operational")) == 1
+
+    @pytest.mark.parametrize("signum", (signal.SIGINT, signal.SIGTERM),
+                             ids=("SIGINT", "SIGTERM"))
+    def test_interrupted_child_is_recorded_as_failed(self, tmp_path, signum):
+        marker = tmp_path / "child-started"
+        ledger = tmp_path / "ledger"
+        child = f"import time; open({str(marker)!r}, 'w').close(); time.sleep(60)"
+        env = dict(os.environ, PYTHONPATH=str(Path(ecol2.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ecol2.cli", "track", "--stage", "operational",
+             "--region", "CH", "--ledger", str(ledger),
+             "--", sys.executable, "-c", child],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert marker.exists(), "tracked child never started"
+            proc.send_signal(signum)
+            out, err = proc.communicate(timeout=30.0)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 128 + signum, err.decode()
+        assert b"recorded operational" in out
+        (rec,) = LedgerStore(ledger).read_stage("operational")
+        assert rec.failed
+        assert rec.duration_s > 0
 
     def test_records_count_toward_a_later_score(self, tmp_path, capsys):
         (bench,), _ = run_json(
@@ -629,6 +691,26 @@ class TestRegionsFile:
 
 
 class TestOutputFormats:
+    def test_csv_headers(self, tmp_path, capsys):
+        ledger = str(tmp_path)
+        carbon = ["c_embodied", "c_developmental", "c_operational", "c_inference",
+                  "c_total"]
+        expected = {
+            ("bench", "advection", "--region", "CH", "--ledger", ledger): [
+                "workload", "seed", "backend", "region", "alpha", "beta", "n_infer",
+                "r", "rmse", "max_error", "mae", *carbon, "ecol2", "inaccurate"],
+            ("score", "--ledger", ledger, "--r", "1e-3"): [
+                "r", "rmse", "max_error", "mae", *carbon, "ecol2", "inaccurate"],
+            ("regions", "CH,NZ", "--ledger", ledger): [
+                "region", "duration_s", "c_operational", "c_inference", "c_total",
+                "ecol2"],
+            ("report", ledger): ["model", "workload", "r", "c_total", "ecol2"],
+        }
+        for argv, header in expected.items():
+            code, out, err = run_cli(capsys, *argv, "--format", "csv")
+            assert code == 0, err
+            assert out.splitlines()[0] == ",".join(header), argv[0]
+
     def score_args(self, root):
         build_fixture_store(root, (0.0, 1e-3, 1e-4, 1e-6))
         return ("score", "--ledger", str(root), "--r", "1e-2")

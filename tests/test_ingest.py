@@ -94,6 +94,17 @@ class TestEmissionsImport:
         with pytest.raises(IngestError, match=rf"log\.csv, row 2: negative {what}"):
             import_emissions_csv(path, "operational")
 
+    @pytest.mark.parametrize("row, message", [
+        ("nan,,,\n", "emissions 'nan' is not finite"),
+        ("inf,,,\n", "emissions 'inf' is not finite"),
+        (",inf,,CH\n", "energy 'inf' is not finite"),
+        (",1e308,,ZA\n", "energy x intensity overflows"),
+    ])
+    def test_non_finite_value_names_file_and_row(self, tmp_path, row, message):
+        path = write_csv(tmp_path, "1e-3,,,\n" + row)
+        with pytest.raises(IngestError, match=rf"log\.csv, row 2: {message}"):
+            import_emissions_csv(path, "operational")
+
     def test_row_without_emissions_or_energy_region(self, tmp_path):
         path = write_csv(tmp_path, ",,3600,\n")
         with pytest.raises(IngestError):

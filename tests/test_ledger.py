@@ -12,6 +12,7 @@ from ecol2 import (
     EmissionRecord,
     LedgerError,
     LedgerStore,
+    ValidationError,
     aggregate,
     summarize,
 )
@@ -94,6 +95,24 @@ class TestRoundTrip:
         path.write_text("{not json")
         with pytest.raises(LedgerError, match=str(path.name)):
             store.read_stage("operational")
+
+    def test_non_finite_value_named_in_error(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        path = store.record(make_record("operational", 1e-4))
+        data = json.loads(path.read_text())
+        data["emissions_kg"] = float("inf")
+        path.write_text(json.dumps(data))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(LedgerError, match=str(path.name)):
+            aggregate(store)
+
+    @pytest.mark.parametrize("field", ("energy_kwh", "duration_s", "emissions_kg"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+    def test_record_rejects_non_finite_values(self, field, value):
+        fields = dict(stage="operational", label="x", energy_kwh=1.0,
+                      duration_s=1.0, region="CH", emissions_kg=1e-3)
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            EmissionRecord(**dict(fields, **{field: value}))
 
     def test_stage_mismatch_detected(self, tmp_path):
         store = LedgerStore(tmp_path)

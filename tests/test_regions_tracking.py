@@ -1,12 +1,9 @@
 """Region registry, power models, emission sessions, what-if rescaling."""
 
-import math
 import threading
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ecol2.tracking as tracking
 from ecol2 import (
@@ -19,10 +16,8 @@ from ecol2 import (
     ValidationError,
     VirtualClock,
     default_registry,
-    region_lookup,
     start_session,
     stop_session,
-    trapezoid_energy_kwh,
     what_if_region,
 )
 from ecol2.tracking import EmissionSession, charge_work
@@ -33,11 +28,11 @@ BUNDLED = {"NZ": 112.76, "ZA": 707.69, "CH": 34.84, "AE": 561.14, "GB": 237.59, 
 class TestRegistry:
     @pytest.mark.parametrize("code, intensity", sorted(BUNDLED.items()))
     def test_bundled_values_exact(self, code, intensity):
-        assert region_lookup(code) == intensity
+        assert default_registry().lookup(code) == intensity
 
     def test_miss_lists_known_codes(self):
         with pytest.raises(RegionError, match="XX") as err:
-            region_lookup("XX")
+            default_registry().lookup("XX")
         for code in BUNDLED:
             assert code in str(err.value)
 
@@ -112,7 +107,9 @@ class TestSessions:
     def test_unknown_region_needs_override(self):
         with pytest.raises(RegionError):
             start_session("operational", PowerModel.fixed(50.0), "XX")
-        rec = run_fixed_session(50.0, 3600.0, "XX", intensity_g_per_kwh=100.0)
+        # the override is a registry entry, as `--regions` gives one
+        rec = run_fixed_session(50.0, 3600.0, "XX",
+                                registry=RegionRegistry({"XX": 100.0}))
         assert rec.emissions_kg == pytest.approx(0.05 * 100.0 / 1000.0, rel=1e-12)
 
     def test_bad_stage_rejected(self):
@@ -158,8 +155,11 @@ class FakeCounter:
     def __init__(self, watts=20.0):
         self.watts = watts
         self.readings = []
+        self.error = None  # raised by every read while set
 
     def __call__(self):
+        if self.error is not None:
+            raise self.error
         # 1 "second" of fake elapsed time per poll
         self.readings.append((self.readings[-1] if self.readings else 0.0) + self.watts)
         return self.readings[-1]
@@ -183,6 +183,38 @@ class TestSampledSessions:
         monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: None)
         with pytest.raises(TrackingError, match="rated:<W> or fixed:<W>"):
             start_session("operational", PowerModel.sampled(), "CH")
+
+    def test_unreadable_counters_at_start_release_the_sampler(self, monkeypatch):
+        counter = FakeCounter()
+        counter.error = PermissionError(13, "Permission denied")
+        monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: counter)
+        with pytest.raises(TrackingError, match="Permission denied"):
+            start_session("operational", PowerModel.sampled(), "CH")
+        counter.error = None
+        stop_session(start_session("operational", PowerModel.sampled(), "CH"))
+
+    def test_unreadable_counters_at_stop_release_the_sampler(self, monkeypatch):
+        counter = FakeCounter()
+        monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: counter)
+        session = start_session("operational", PowerModel.sampled(), "CH")
+        counter.error = OSError(5, "Input/output error")
+        with pytest.raises(TrackingError, match="Input/output error"):
+            stop_session(session)
+        assert not session._thread.is_alive()
+        counter.error = None
+        stop_session(start_session("operational", PowerModel.sampled(), "CH"))
+
+    def test_thread_start_failure_releases_the_sampler(self, monkeypatch):
+        monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: FakeCounter())
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", refuse)
+            with pytest.raises(RuntimeError, match="can't start"):
+                start_session("operational", PowerModel.sampled(), "CH")
+        stop_session(start_session("operational", PowerModel.sampled(), "CH"))
 
     def test_abandon_releases_sampler(self, monkeypatch):
         monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: FakeCounter())
@@ -213,25 +245,6 @@ class TestSampledSessions:
         with pytest.raises(TrackingError):
             EmissionSession("operational", PowerModel.sampled(), "CH",
                             clock=VirtualClock())
-
-
-class TestTrapezoid:
-    @given(n=st.integers(2, 200), watts=st.floats(1.0, 500.0),
-           span=st.floats(0.5, 5000.0))
-    @settings(max_examples=150, deadline=None)
-    def test_constant_trace_equals_p_times_t(self, n, watts, span):
-        times = [span * i / (n - 1) for i in range(n)]
-        trace = [(t, watts) for t in times]
-        expected = watts * span / 3.6e6
-        assert math.isclose(trapezoid_energy_kwh(trace), expected, rel_tol=1e-9)
-
-    def test_short_trace_rejected(self):
-        with pytest.raises(TrackingError):
-            trapezoid_energy_kwh([(0.0, 50.0)])
-
-    def test_time_reversal_rejected(self):
-        with pytest.raises(TrackingError):
-            trapezoid_energy_kwh([(0.0, 50.0), (2.0, 50.0), (1.0, 50.0)])
 
 
 class TestWhatIf:
