@@ -15,7 +15,6 @@ from .errors import (
     ParameterError,
     RegionError,
     SolverError,
-    StabilityError,
     TrackingError,
     ValidationError,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "RegionError",
     "RegionRegistry",
     "SolverError",
-    "StabilityError",
     "TrackingError",
     "ValidationError",
     "VirtualClock",

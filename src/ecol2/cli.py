@@ -170,6 +170,12 @@ def emit(rows: list[dict], fmt: str, out=None) -> None:
         out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
+def _print_notes(scores) -> None:
+    """Each distinct warning of the scores, once, on stderr."""
+    for note in dict.fromkeys(note for score in scores for note in score.warnings):
+        print(f"note: {note}", file=sys.stderr)
+
+
 # --- shared argument plumbing ---
 
 
@@ -307,8 +313,7 @@ def cmd_score(args) -> int:
         "inaccurate": score.inaccurate,
     }
     emit([row], args.format)
-    for note in score.warnings:
-        print(f"note: {note}", file=sys.stderr)
+    _print_notes([score])
     return 0
 
 
@@ -368,14 +373,15 @@ def cmd_bench(args) -> int:
     (store.root / RUN_FILE).write_text(
         json.dumps(run_payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
-    rows = [main_row]
+    rows, scores = [main_row], [result.score]
     if sweep_params:
+        scores = [ecol2(result.error.relative_l2, result.carbon, p) for p in sweep_params]
         rows = [
-            dict(main_row, alpha=p.alpha,
-                 ecol2=ecol2(result.error.relative_l2, result.carbon, p).value)
-            for p in sweep_params
+            dict(main_row, alpha=p.alpha, ecol2=score.value)
+            for p, score in zip(sweep_params, scores)
         ]
     emit(rows, args.format)
+    _print_notes(scores)
     return 0
 
 
@@ -398,11 +404,12 @@ def cmd_regions(args) -> int:
             raise _UsageError("missing inputs: --r (no stored run to read it from)")
         r = stored["r"]
     duration = sum(rec.duration_s for rec in records)
-    rows = []
+    rows, scores = [], []
     for target in targets:
         moved = [what_if_region(rec, target, registry) for rec in records]
         carbon = summarize(moved)
         score = ecol2(r, carbon, params)
+        scores.append(score)
         rows.append(
             {
                 "region": target,
@@ -414,11 +421,12 @@ def cmd_regions(args) -> int:
             }
         )
     emit(rows, args.format)
+    _print_notes(scores)
     return 0
 
 
 def cmd_report(args) -> int:
-    rows = []
+    rows, scores = [], []
     for root in args.roots:
         store = LedgerStore(root)
         stored = _read_run(store.root)
@@ -431,6 +439,7 @@ def cmd_report(args) -> int:
             n_infer=int(stored.get("n_infer", DEFAULT_N_INFER)),
         )
         score = ecol2(stored["r"], carbon, params)
+        scores.append(score)
         rows.append(
             {
                 "model": Path(root).name,
@@ -441,6 +450,7 @@ def cmd_report(args) -> int:
             }
         )
     emit(rows, args.format)
+    _print_notes(scores)
     return 0
 
 

@@ -29,10 +29,6 @@ class RegionError(ValidationError):
     """Unknown region code or malformed registry file."""
 
 
-class StabilityError(ValidationError):
-    """Explicitly requested solver step violates a stability bound."""
-
-
 class IngestError(ValidationError):
     """Malformed external CSV input."""
 

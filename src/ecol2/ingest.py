@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IngestError
 from .regions import RegionRegistry, default_registry
-from .tracking import EmissionRecord, emissions_kg_from_energy
+from .tracking import STAGES, EmissionRecord, emissions_kg_from_energy
 
 DEFAULT_COLUMNS = {
     "emissions": "emissions",
@@ -73,6 +73,8 @@ def import_emissions_csv(
     errors count data rows from 1.
     """
     path = Path(path)
+    if stage not in STAGES:
+        raise IngestError(f"{path}: stage must be one of {STAGES}, got {stage!r}")
     registry = registry or default_registry()
     columns = dict(DEFAULT_COLUMNS)
     if column_map:

@@ -257,6 +257,7 @@ class EmissionSession:
         self._thread = None
         self._samples: list[tuple[float, float]] = []
         self._reader = None
+        self._poll_error: TrackingError | None = None
 
         if power.kind != "sampled-hardware":
             self._t0 = self.clock.now()
@@ -290,7 +291,13 @@ class EmissionSession:
 
     def _sample_loop(self):
         while not self._stop_event.wait(POLL_INTERVAL_S):
-            self._samples.append((self.clock.now(), self._reader()))
+            try:
+                self._samples.append((self.clock.now(), self._read()))
+            except TrackingError as err:
+                # a counter wrap in the unpolled gap would go uncounted, so
+                # stop raises this instead of returning a record
+                self._poll_error = err
+                return
 
     def _close(self) -> None:
         """Stop the polling thread and release the counters."""
@@ -306,6 +313,8 @@ class EmissionSession:
         t1 = self.clock.now()
         duration = t1 - self._t0
         self._close()
+        if self._poll_error is not None:
+            raise self._poll_error
         trace = None
         if self._reader is not None:
             self._samples.append((t1, self._read()))

@@ -5,7 +5,7 @@ from .datasets import (
     generate_initial_condition,
 )
 from .finite_difference import fd_solve
-from .grids import FieldSolution, Grid1D, PdeCoefficients, default_grid, fourier_resample
+from .grids import FieldSolution, Grid1D, default_grid, fourier_resample
 from .pipeline import WORKLOADS, PipelineResult, run_pipeline
 from .spectral import spectral_solve, spectral_solve_batch
 from ._backend import BACKEND
@@ -15,7 +15,6 @@ __all__ = [
     "FieldSolution",
     "Grid1D",
     "InitialConditionSpec",
-    "PdeCoefficients",
     "PipelineResult",
     "WORKLOADS",
     "analytic_advection",

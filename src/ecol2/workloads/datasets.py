@@ -22,7 +22,7 @@ FREQUENCY_LO = 1
 FREQUENCY_HI = 5
 AMPLITUDE_LO = 0.1
 AMPLITUDE_HI = 0.5
-DEFAULT_N_TERMS = 5
+N_TERMS = 5
 
 _Pairs = list[tuple[np.ndarray, np.ndarray]]
 
@@ -62,16 +62,16 @@ class InitialConditionSpec:
         return len(self.amplitudes)
 
     @classmethod
-    def sample(cls, seed: int, n_terms: int = DEFAULT_N_TERMS) -> "InitialConditionSpec":
-        """Draw a base spec: A ~ U[0.1, 0.5], l ~ {1..5}, phi ~ N(0, 1)."""
+    def sample(cls, seed: int) -> "InitialConditionSpec":
+        """Draw a five-term base spec: A ~ U[0.1, 0.5], l ~ {1..5}, phi ~ N(0, 1)."""
         rng = np.random.default_rng(seed)
         # a Generator passed instead of a seed still samples, but is not a
-        # storable provenance value
+        # storable seed
         stored = int(seed) if isinstance(seed, (int, np.integer)) else None
         return cls(
-            amplitudes=tuple(rng.uniform(AMPLITUDE_LO, AMPLITUDE_HI, n_terms).tolist()),
-            frequencies=tuple(int(l) for l in rng.integers(FREQUENCY_LO, FREQUENCY_HI + 1, n_terms)),
-            phases=tuple(rng.standard_normal(n_terms).tolist()),
+            amplitudes=tuple(rng.uniform(AMPLITUDE_LO, AMPLITUDE_HI, N_TERMS).tolist()),
+            frequencies=tuple(int(l) for l in rng.integers(FREQUENCY_LO, FREQUENCY_HI + 1, N_TERMS)),
+            phases=tuple(rng.standard_normal(N_TERMS).tolist()),
             seed=stored,
         )
 
@@ -108,17 +108,13 @@ def generate_dataset(
     base_spec: InitialConditionSpec,
     seed: int,
     grid: Grid1D,
-    *,
-    internal_nx: int | None = None,
-    dt: float | None = None,
 ) -> tuple[_Pairs, list[int], FieldSolution]:
     """(u0, u(T)) pairs from perturbed copies of the base spec.
 
     Deterministic given the seed.  The base spec's own field is solved as
-    the last row of the samples' batch; its FieldSolution (provenance
-    reference-numeric) is returned as the reference, after the pairs and
-    the work points of each sample.  A blow-up names the failing sample,
-    or the reference, and aborts.
+    the last row of the samples' batch; its FieldSolution is returned as
+    the reference, after the pairs and the work points of each sample.
+    A blow-up names the failing sample, or the reference, and aborts.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
@@ -130,8 +126,7 @@ def generate_dataset(
     rows.append(generate_initial_condition(base_spec, grid))
     try:
         solutions = spectral_solve_batch(
-            equation, np.stack(rows), grid, internal_nx=internal_nx, dt=dt,
-            trajectories=[count],
+            equation, np.stack(rows), grid, trajectories=[count]
         )
     except SolverError as err:
         if err.row == count:

@@ -9,7 +9,11 @@ import numpy as np
 
 from ..errors import ValidationError
 
-PROVENANCES = ("analytic", "reference-numeric", "model-numeric")
+# coefficients of the three textbook problems: u_t + c u_x = 0,
+# u_t = rho u (1 - u) and u_tt = c^2 u_xx
+ADVECTION_SPEED = 10.0
+REACTION_RATE = 5.0
+WAVE_SPEED_SQ = 3.0
 
 
 @dataclass(frozen=True)
@@ -55,21 +59,6 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class PdeCoefficients:
-    advection_speed: float = 10.0
-    reaction_rate: float = 5.0
-    wave_speed_sq: float = 3.0
-
-    def __post_init__(self):
-        if not self.advection_speed > 0:
-            raise ValidationError("advection_speed must be > 0")
-        if not self.reaction_rate > 0:
-            raise ValidationError("reaction_rate must be > 0")
-        if not self.wave_speed_sq > 0:
-            raise ValidationError("wave_speed_sq must be > 0")
-
-
-@dataclass(frozen=True)
 class FieldSolution:
     """A solved field on a grid; values has shape (grid.nt, grid.nx).
 
@@ -80,15 +69,10 @@ class FieldSolution:
 
     grid: Grid1D
     values: np.ndarray
-    provenance: str
     work_points: int = 0
     max_imag_residue: float = 0.0
 
     def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValidationError(
-                f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
-            )
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (self.grid.nt, self.grid.nx):
             raise ValidationError(

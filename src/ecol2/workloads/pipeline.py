@@ -140,22 +140,21 @@ def run_pipeline(
         # bit for bit, and reuses it instead while still charging its work
         solved = {internal_modes(grid): reference}
 
-        def solve(internal_nx, provenance):
+        def solve(internal_nx):
             n = internal_modes(grid, internal_nx)
             if n not in solved:
-                solved[n] = spectral_solve(
-                    workload, u0, grid, internal_nx=internal_nx, provenance=provenance
-                )
+                # by keyword: perfbench/tracer.py reads internal_nx from kwargs
+                solved[n] = spectral_solve(workload, u0, grid, internal_nx=internal_nx)
             return solved[n]
 
         with stage("embodied", "reference-solve"):
             charge_work(clock, reference.work_points)
         for nx in _SPECTRAL_TRIAL_NX:
             with stage("developmental", f"trial-modes{nx}"):
-                trial = solve(nx, "model-numeric")
+                trial = solve(nx)
                 charge_work(clock, trial.work_points)
         with stage("operational", "final-solve"):
-            model = solve(_SPECTRAL_MODEL_NX, "model-numeric")
+            model = solve(_SPECTRAL_MODEL_NX)
             charge_work(clock, model.work_points)
 
     passes = max(1, params.n_infer)

@@ -97,7 +97,6 @@ def spectral_solve(
     *,
     dt: float | None = None,
     internal_nx: int | None = None,
-    provenance: str = "reference-numeric",
 ) -> FieldSolution:
     """Evolve u0 over the grid's output times.
 
@@ -110,8 +109,7 @@ def spectral_solve(
     if u0.shape != (grid.nx,):
         raise ValidationError(f"u0 shape {u0.shape} does not match grid nx {grid.nx}")
     (solution,) = spectral_solve_batch(
-        equation, u0[None, :], grid, dt=dt, internal_nx=internal_nx,
-        provenance=provenance,
+        equation, u0[None, :], grid, dt=dt, internal_nx=internal_nx
     )
     return solution
 
@@ -131,7 +129,6 @@ def spectral_solve_batch(
     *,
     dt: float | None = None,
     internal_nx: int | None = None,
-    provenance: str = "reference-numeric",
     trajectories=None,
 ) -> list[FieldSolution | _FinalState]:
     """Evolve each row of a (count, nx) stack; one result per row.
@@ -229,7 +226,7 @@ def spectral_solve_batch(
     out: list[FieldSolution | _FinalState] = [None] * count
     for slot, i in enumerate(kept):
         out[i] = FieldSolution(
-            grid, values[slot], provenance, work_points=work[i],
+            grid, values[slot], work_points=work[i],
             max_imag_residue=float(residue[i]),
         )
     rest = [i for i in range(count) if out[i] is None]

@@ -360,6 +360,32 @@ class TestBench:
         assert scores[0] > scores[1] > scores[2]
         assert all(0.0 < s < 1.0 for s in scores)
 
+    def test_score_notes_go_to_stderr_in_bench_and_report(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "advection", "--region", "CH", "--seed", "7",
+            "--ledger", str(tmp_path), "--alpha", "5", "--beta", "0",
+        )
+        assert code == 0
+        assert "note:" not in out
+        notes = err.splitlines()
+        assert [note.split(" ")[1] for note in notes] == ["alpha=5", "beta=0"]
+        assert all(note.startswith("note: ") for note in notes)
+        code, out, err = run_cli(capsys, "report", str(tmp_path))
+        assert code == 0
+        assert "note:" not in out
+        assert err.splitlines() == notes
+
+    def test_sweep_prints_each_distinct_note_once(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "advection", "--region", "CH", "--seed", "7",
+            "--ledger", str(tmp_path), "--beta", "0", "--sweep-alpha", "5,7",
+        )
+        assert code == 0
+        # both rows warn that beta=0 ignores carbon; that note prints once
+        assert [note.split(" ")[1] for note in err.splitlines()] == [
+            "alpha=5", "beta=0", "alpha=7"
+        ]
+
     def test_sweep_alpha_bad_value(self, tmp_path, capsys):
         # rejected before the run: nothing is solved, recorded or stored
         for i, (value, message) in enumerate((
@@ -468,6 +494,19 @@ class TestRegions:
             capsys, "regions", "CH", "--ledger", str(tmp_path), "--r", "1e-2"
         )
         assert stored == explicit
+
+    def test_score_note_printed_once_for_all_targets(self, tmp_path, capsys):
+        self.seed_store(tmp_path)
+        code, out, err = run_cli(
+            capsys, "regions", "CH,NZ,ZA", "--ledger", str(tmp_path), "--r", "1e-2",
+            "--alpha", "5",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 4  # header and three rows
+        assert err == (
+            "note: alpha=5 outside calibrated range [10, 1000]; "
+            "bounds in (0, 1) not guaranteed\n"
+        )
 
     def test_missing_r_rejected(self, tmp_path, capsys):
         self.seed_store(tmp_path)

@@ -36,6 +36,12 @@ class TestEmissionsImport:
     def test_header_only_is_empty(self, tmp_path):
         assert import_emissions_csv(write_csv(tmp_path, ""), "operational") == []
 
+    @pytest.mark.parametrize("body", ("", "1e-3,,,\n"))
+    def test_unknown_stage_names_the_file_before_any_row(self, tmp_path, body):
+        path = write_csv(tmp_path, body)
+        with pytest.raises(IngestError, match=r"log\.csv: stage must be one of .*'prep'"):
+            import_emissions_csv(path, "prep")
+
     def test_energy_and_region_computes_emissions(self, tmp_path):
         path = write_csv(tmp_path, ",0.1,3600,CH\n")
         (rec,) = import_emissions_csv(path, "operational")

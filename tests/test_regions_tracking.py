@@ -204,6 +204,24 @@ class TestSampledSessions:
         counter.error = None
         stop_session(start_session("operational", PowerModel.sampled(), "CH"))
 
+    def test_failed_poll_fails_the_session_without_a_thread_traceback(self, monkeypatch):
+        counter = FakeCounter()
+        monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: counter)
+        monkeypatch.setattr(tracking, "POLL_INTERVAL_S", 0.05)
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        session = start_session("operational", PowerModel.sampled(), "CH")
+        counter.error = OSError(5, "Input/output error")  # the 2nd read fails
+        session._thread.join(timeout=10.0)
+        assert not session._thread.is_alive()  # polling stopped at the error
+        counter.error = None
+        with pytest.raises(TrackingError,
+                           match="cannot read hardware energy counters: .*Input/output"):
+            stop_session(session)
+        assert uncaught == []
+        assert len(counter.readings) == 1
+        stop_session(start_session("operational", PowerModel.sampled(), "CH"))
+
     def test_thread_start_failure_releases_the_sampler(self, monkeypatch):
         monkeypatch.setattr(tracking, "_hardware_energy_reader", lambda: FakeCounter())
 
