@@ -16,13 +16,18 @@ from ..errors import SolverError, ValidationError
 from .grids import FieldSolution, Grid1D
 # spectral_solve is unused here but stays importable under this module's
 # name: perfbench/tracer.py wraps datasets.spectral_solve by name
-from .spectral import spectral_solve, spectral_solve_batch  # noqa: F401
+from .spectral import internal_modes, spectral_solve, spectral_solve_batch  # noqa: F401
 
 FREQUENCY_LO = 1
 FREQUENCY_HI = 5
 AMPLITUDE_LO = 0.1
 AMPLITUDE_HI = 0.5
 N_TERMS = 5
+
+# mode count of the model, which stands in for a cheaper learned solver:
+# bases below ~128 modes leave KdV's steepening unregularized and can
+# blow up
+MODEL_MODES = 128
 
 _Pairs = list[tuple[np.ndarray, np.ndarray]]
 
@@ -108,13 +113,14 @@ def generate_dataset(
     base_spec: InitialConditionSpec,
     seed: int,
     grid: Grid1D,
-) -> tuple[_Pairs, list[int], FieldSolution]:
+) -> tuple[_Pairs, list[int], FieldSolution, FieldSolution]:
     """(u0, u(T)) pairs from perturbed copies of the base spec.
 
-    Deterministic given the seed.  The base spec's own field is solved as
-    the last row of the samples' batch; its FieldSolution is returned as
-    the reference, after the pairs and the work points of each sample.
-    A blow-up names the failing sample, or the reference, and aborts.
+    Deterministic given the seed.  The base spec's own field rides in the
+    samples' batch twice: at MODEL_MODES as the model, then at the default
+    mode count as the reference, the last row.  Returns the pairs, the
+    work points of each sample, the reference and the model.  A blow-up
+    names the failing sample, the model or the reference, and aborts.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
@@ -123,18 +129,24 @@ def generate_dataset(
         generate_initial_condition(base_spec.perturbed(rng), grid)
         for _ in range(count)
     ]
-    rows.append(generate_initial_condition(base_spec, grid))
+    base = generate_initial_condition(base_spec, grid)
+    default = internal_modes(grid)
     try:
         solutions = spectral_solve_batch(
-            equation, np.stack(rows), grid, trajectories=[count]
+            equation, np.stack(rows + [base, base]), grid,
+            modes=[default] * count + [MODEL_MODES, default],
+            trajectories=[count, count + 1],
         )
     except SolverError as err:
-        if err.row == count:
+        if err.row == count + 1:
             raise SolverError(f"reference solve failed: {err}") from err
+        if err.row == count:
+            raise SolverError(f"model solve failed: {err}") from err
         raise SolverError(f"dataset sample {err.row} failed: {err}") from err
     samples = solutions[:count]
     pairs = [(u0, sol.final_state) for u0, sol in zip(rows, samples)]
-    return pairs, [sol.work_points for sol in samples], solutions[count]
+    return (pairs, [sol.work_points for sol in samples],
+            solutions[count + 1], solutions[count])
 
 
 def write_dataset(out_dir: Path, equation, seed, base_spec, grid, pairs) -> None:

@@ -33,15 +33,12 @@ from ..tracking import (
 )
 from ._backend import BACKEND
 from .analytic import analytic_advection, analytic_reaction, analytic_wave
-from .datasets import (
-    InitialConditionSpec,
-    generate_dataset,
-    generate_initial_condition,
-    write_dataset,
-)
+from .datasets import MODEL_MODES, InitialConditionSpec, generate_dataset, write_dataset
 from .finite_difference import fd_solve
 from .grids import default_grid
-from .spectral import internal_modes, spectral_solve
+# spectral_solve is unused here but stays importable under this module's
+# name: perfbench/tracer.py wraps pipeline.spectral_solve by name
+from .spectral import internal_modes, spectral_solve  # noqa: F401
 
 WORKLOADS = ("advection", "reaction", "wave", "kdv", "ks")
 
@@ -53,15 +50,6 @@ _ANALYTIC_REFERENCES = {
 
 # coarser spatial trials standing in for hyperparameter search
 _FD_TRIAL_NX = (64, 128)
-
-# candidate basis sizes tried during development; bases below ~128 modes
-# leave KdV's steepening unregularized and can block up, so the trial
-# grid starts there and operations keep the cheaper candidate
-_SPECTRAL_TRIAL_NX = (128, 256)
-
-# the model solves the spectral problems on a truncated basis; the
-# reference uses the default internal grid (>= 256 modes)
-_SPECTRAL_MODEL_NX = 128
 
 DEFAULT_DATASET_COUNT = 4
 
@@ -123,10 +111,11 @@ def run_pipeline(
             charge_work(clock, model.work_points)
     else:
         base_spec = InitialConditionSpec.sample(seed)
-        # the reference is the last row of the dataset batch; its own stage
-        # below charges its work
+        # one batch solves the samples, the model and the reference; the
+        # dataset stage is charged the samples' work, and each stage below
+        # the work of the row it uses
         with stage("embodied", "dataset"):
-            pairs, sample_points, reference = generate_dataset(
+            pairs, sample_points, reference, model = generate_dataset(
                 workload, dataset_count, base_spec, seed, grid
             )
             for points in sample_points:
@@ -134,27 +123,13 @@ def run_pipeline(
         # written after the stage closes, so the file writes are not charged
         if store is not None:
             write_dataset(store.root / "dataset", workload, seed, base_spec, grid, pairs)
-        u0 = generate_initial_condition(base_spec, grid)
-        # every solve below starts from u0, so its dt follows from its mode
-        # count; a stage whose modes match an earlier solve would repeat it
-        # bit for bit, and reuses it instead while still charging its work
-        solved = {internal_modes(grid): reference}
-
-        def solve(internal_nx):
-            n = internal_modes(grid, internal_nx)
-            if n not in solved:
-                # by keyword: perfbench/tracer.py reads internal_nx from kwargs
-                solved[n] = spectral_solve(workload, u0, grid, internal_nx=internal_nx)
-            return solved[n]
-
         with stage("embodied", "reference-solve"):
             charge_work(clock, reference.work_points)
-        for nx in _SPECTRAL_TRIAL_NX:
-            with stage("developmental", f"trial-modes{nx}"):
-                trial = solve(nx)
+        # development tries the model's basis and the reference's
+        for modes, trial in ((MODEL_MODES, model), (internal_modes(grid), reference)):
+            with stage("developmental", f"trial-modes{modes}"):
                 charge_work(clock, trial.work_points)
         with stage("operational", "final-solve"):
-            model = solve(_SPECTRAL_MODEL_NX)
             charge_work(clock, model.work_points)
 
     passes = max(1, params.n_infer)

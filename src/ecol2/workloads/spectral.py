@@ -48,8 +48,9 @@ def _wavenumbers(n: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
 
 
-def _dealias_mask(n: int) -> np.ndarray:
-    return (np.arange(n // 2 + 1) < n / 3.0).astype(np.float64)
+def _dealias_mask(n: int, size: int) -> np.ndarray:
+    """2/3-rule mask of an n-mode state, over a half spectrum of size modes."""
+    return (np.arange(size) < n / 3.0).astype(np.float64)
 
 
 def etdrk4_coefficients(h: float, symbol: np.ndarray, real: bool):
@@ -80,14 +81,12 @@ def etdrk4_coefficients(h: float, symbol: np.ndarray, real: bool):
     return np.exp(hl / 2.0), np.exp(hl), h * weights
 
 
-def internal_modes(grid: Grid1D, internal_nx: int | None = None) -> int:
-    """Transform size a solve on the grid uses: forced, or the default."""
-    n_int = internal_nx if internal_nx is not None else next_pow2(
-        max(grid.nx, _INTERNAL_NX_MIN)
-    )
-    if n_int < 16 or (n_int & (n_int - 1)) != 0:
-        raise ValidationError(f"internal_nx must be a power of two >= 16, got {n_int}")
-    return n_int
+def internal_modes(grid: Grid1D, modes: int | None = None) -> int:
+    """Mode count of a solve on the grid: the one given, or the default."""
+    n = next_pow2(max(grid.nx, _INTERNAL_NX_MIN)) if modes is None else modes
+    if not (isinstance(n, (int, np.integer)) and n >= 16 and n & (n - 1) == 0):
+        raise ValidationError(f"mode count must be a power of two >= 16, got {n!r}")
+    return n
 
 
 def spectral_solve(
@@ -109,7 +108,8 @@ def spectral_solve(
     if u0.shape != (grid.nx,):
         raise ValidationError(f"u0 shape {u0.shape} does not match grid nx {grid.nx}")
     (solution,) = spectral_solve_batch(
-        equation, u0[None, :], grid, dt=dt, internal_nx=internal_nx
+        equation, u0[None, :], grid, dt=dt,
+        modes=None if internal_nx is None else [internal_nx],
     )
     return solution
 
@@ -128,18 +128,26 @@ def spectral_solve_batch(
     grid: Grid1D,
     *,
     dt: float | None = None,
-    internal_nx: int | None = None,
+    modes=None,
     trajectories=None,
 ) -> list[FieldSolution | _FinalState]:
     """Evolve each row of a (count, nx) stack; one result per row.
 
-    Every row keeps the dt it would get alone (its own u_scale), and goes
-    through exactly the operations of a one-row solve, so each result is
-    bit for bit that of spectral_solve on the row.  Rows are stepped
-    together: in each output interval all rows advance by the smallest
-    substep count, then the rows still running by the next increment, and
-    so on.  Blow-up raises SolverError whose `row` is the lowest-index row
-    that blew up at the first failing output time.
+    modes gives each row its own mode count, a power of two >= 16 (None:
+    every row at the grid's default).  The batch transforms at the
+    largest count.  A row with fewer modes m is its m-point field
+    zero-padded, dealiased at m/3 and stepped with the dt of a standalone
+    m-point solve; the 2/3 rule keeps it on the m-point trajectory up to
+    rounding, and it is charged the work of that solve.
+
+    Every row keeps the dt it would get alone (its own u_scale).  A row at
+    the batch's full mode count goes through exactly the operations of a
+    one-row solve, so its result is bit for bit that of spectral_solve on
+    the row; a row with fewer modes matches only up to rounding.  Rows are
+    stepped together: in each output interval all rows advance by the
+    smallest substep count, then the rows still running by the next
+    increment, and so on.  Blow-up raises SolverError whose `row` is the
+    lowest-index row that blew up at the first failing output time.
 
     trajectories names the rows whose full (nt, nx) trajectory is kept
     and returned as a FieldSolution (None: every row).  Every other row
@@ -159,32 +167,44 @@ def spectral_solve_batch(
         )
     if not np.all(np.isfinite(u0s)):
         raise ValidationError("u0 must be finite")
+    count = u0s.shape[0]
+    if modes is None:
+        modes = [internal_modes(grid)] * count
+    else:
+        modes = [internal_modes(grid, m) for m in modes]
+        if len(modes) != count:
+            raise ValidationError(f"{len(modes)} mode counts for {count} rows")
 
-    n_int = internal_modes(grid, internal_nx)
+    n_int = max(modes)
     resample = n_int != grid.nx
-    u_int = fourier_resample(u0s, n_int) if resample else u0s.copy()
+    # each row's field at its own mode count, which sets its u_scale, then
+    # zero-padded to the batch's
+    u_int = np.empty((count, n_int))
+    u_scale = np.empty(count)
+    for m in sorted(set(modes)):
+        rows = [i for i, n in enumerate(modes) if n == m]
+        u_m = fourier_resample(u0s[rows], m)
+        u_scale[rows] = np.maximum(1.0, np.max(np.abs(u_m), axis=1))
+        u_int[rows] = u_m if m == n_int else fourier_resample(u_m, n_int)
     k = _wavenumbers(n_int, grid.length)
     symbol = 1j * k**3 if equation == "kdv" else k**2 - k**4
-    nonlinear = -0.5j * k * _dealias_mask(n_int)
-    k_max = math.pi * n_int / grid.length
     dt_accuracy = _DT_ACCURACY[equation]
 
-    count = u0s.shape[0]
     nsub = []
     dt_sub = []
     e_half = np.empty((count, k.size), dtype=np.complex128)
     e_full = np.empty_like(e_half)
     phi = np.empty((4, count, k.size), dtype=np.complex128)
-    for i, u in enumerate(u_int):
-        u_scale = max(1.0, float(np.max(np.abs(u))))
-        dt_limit = dt_accuracy / (u_scale * k_max)
+    for i, m in enumerate(modes):
+        k_max = math.pi * m / grid.length
+        dt_limit = dt_accuracy / (float(u_scale[i]) * k_max)
         nsub_i, dt_i = substeps(grid.dt_out, dt_limit, dt)
         nsub.append(nsub_i)
         dt_sub.append(dt_i)
         e_half[i], e_full[i], weights = etdrk4_coefficients(
             dt_i, symbol, real=equation == "ks"
         )
-        phi[:, i] = weights * nonlinear
+        phi[:, i] = weights * (-0.5j * k * _dealias_mask(m, k.size))
     v = kernels.from_physical(u_int)
 
     # (rows still running, substeps to add) after each distinct count
@@ -214,7 +234,7 @@ def spectral_solve_batch(
             i = int(np.argmax(bad))
             raise SolverError(
                 f"{equation} solution blew up by t = {t[j]:.6g} "
-                f"(dt = {dt_sub[i]:.4g}, internal nx = {n_int})",
+                f"(dt = {dt_sub[i]:.4g}, internal nx = {modes[i]})",
                 row=i,
             )
         np.maximum(residue, res_j, out=residue)
@@ -222,7 +242,7 @@ def spectral_solve_batch(
             u_kept = u_j[kept]
             values[:, j] = fourier_resample(u_kept, grid.nx) if resample else u_kept
 
-    work = [(grid.nt - 1) * n * n_int for n in nsub]
+    work = [(grid.nt - 1) * n * m for n, m in zip(nsub, modes)]
     out: list[FieldSolution | _FinalState] = [None] * count
     for slot, i in enumerate(kept):
         out[i] = FieldSolution(

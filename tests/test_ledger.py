@@ -70,6 +70,19 @@ class TestLayout:
         assert not store.stage_dir("embodied").is_dir()
         assert store.read_stage("embodied") == []
 
+    def test_read_in_filename_order(self, tmp_path):
+        # a collision suffix sorts before its base name: "-" < "."
+        store = LedgerStore(tmp_path)
+        stage_dir = store.stage_dir("operational")
+        stage_dir.mkdir(parents=True)
+        for name in ("1700000000002-a", "1700000000001-b", "1700000000001-b-2",
+                     "1700000000000-c", "1700000000001-b-1"):
+            payload = json.dumps(make_record("operational", 1e-5, label=name).to_dict())
+            (stage_dir / f"{name}.json").write_text(payload, encoding="utf-8")
+        assert [r.label for r in store.read_stage("operational")] == [
+            "1700000000000-c", "1700000000001-b-1", "1700000000001-b-2",
+            "1700000000001-b", "1700000000002-a"]
+
     def test_recording_enables_stage(self, tmp_path):
         store = LedgerStore(tmp_path)
         store.record(make_record("embodied", 1e-4))

@@ -380,10 +380,9 @@ class TestSpectralBatch:
             generate_initial_condition(InitialConditionSpec.sample(seed), grid)
             for seed in (1, 2, 3)
         ])
-        kwargs = dict(internal_nx=128, dt=0.01)
-        batch = spectral_solve_batch("ks", u0s, grid, **kwargs)
+        batch = spectral_solve_batch("ks", u0s, grid, dt=0.01, modes=[128] * 3)
         for b, u0 in zip(batch, u0s):
-            assert_same_solution(b, spectral_solve("ks", u0, grid, **kwargs))
+            assert_same_solution(b, spectral_solve("ks", u0, grid, dt=0.01, internal_nx=128))
 
     def test_blow_up_names_lowest_row_at_first_failing_time(self):
         # alone, amplitude 5 blows up by t = 4, amplitudes 10 and 15 by t = 2
@@ -391,7 +390,7 @@ class TestSpectralBatch:
         wave = np.sin(2.0 * np.pi * grid.x / grid.length)
         u0s = np.stack([a * wave for a in (0.1, 5.0, 10.0, 15.0)])
         with pytest.raises(SolverError, match=r"blew up by t = 2 ") as info:
-            spectral_solve_batch("kdv", u0s, grid, dt=0.5, internal_nx=64)
+            spectral_solve_batch("kdv", u0s, grid, dt=0.5, modes=[64] * 4)
         assert info.value.row == 2
 
     def test_evolve_equals_unhoisted_formula_bit_for_bit(self):
@@ -466,6 +465,28 @@ class TestSpectralBatch:
             fine = spectral_solve(equation, u0, grid, dt=grid.dt_out / nsub / 8.0)
             assert rel_l2(coarse.final_state, fine.final_state) <= bound, seed
 
+    @pytest.mark.parametrize("equation", ("kdv", "ks"))
+    def test_masked_row_follows_standalone_solve(self, equation):
+        # a 128-mode row zero-padded into a 256-mode batch and dealiased at
+        # 128/3 steps the standalone 128-point trajectory, up to rounding
+        grid = default_grid(equation)
+        for seed in (0, 2, 7):
+            u0 = generate_initial_condition(InitialConditionSpec.sample(seed), grid)
+            full, masked = spectral_solve_batch(
+                equation, np.stack([u0, u0]), grid, modes=[256, 128])
+            alone = spectral_solve(equation, u0, grid, internal_nx=128)
+            assert_same_solution(full, spectral_solve(equation, u0, grid))
+            scale = np.max(np.abs(alone.values))
+            assert np.max(np.abs(masked.values - alone.values)) <= 1e-12 * scale, seed
+            assert masked.work_points == alone.work_points
+
+    @pytest.mark.parametrize("modes", ([100, 256], [8, 256], [256], [128, 256, 256]))
+    def test_modes_validated(self, modes):
+        # each count a power of two >= 16, one count per row
+        grid = default_grid("ks")
+        with pytest.raises(ValidationError):
+            spectral_solve_batch("ks", np.zeros((2, grid.nx)), grid, modes=modes)
+
     def test_stack_shape_validated(self):
         grid = default_grid("ks")
         for bad in (np.zeros(grid.nx), np.zeros((0, grid.nx)), np.zeros((2, grid.nx + 1))):
@@ -489,7 +510,7 @@ class TestDatasets:
         base = InitialConditionSpec(amplitudes=(0.3, 0.2), frequencies=(1, 2),
                                     phases=(0.0, 1.0), eps_amplitude=0.0,
                                     eps_phase=0.0, seed=0)
-        pairs, _, _ = generate_dataset("ks", 1, base, 5, grid)
+        pairs, _, _, _ = generate_dataset("ks", 1, base, 5, grid)
         u0 = generate_initial_condition(base, grid)
         ref = spectral_solve("ks", u0, grid)
         np.testing.assert_array_equal(pairs[0][0], u0)
@@ -498,8 +519,8 @@ class TestDatasets:
     def test_same_seed_bit_identical(self):
         grid = self.make_grid()
         base = InitialConditionSpec.sample(4)
-        a, _, _ = generate_dataset("ks", 3, base, 11, grid)
-        b, _, _ = generate_dataset("ks", 3, base, 11, grid)
+        a, _, _, _ = generate_dataset("ks", 3, base, 11, grid)
+        b, _, _, _ = generate_dataset("ks", 3, base, 11, grid)
         for (u0a, uta), (u0b, utb) in zip(a, b):
             np.testing.assert_array_equal(u0a, u0b)
             np.testing.assert_array_equal(uta, utb)
@@ -507,8 +528,8 @@ class TestDatasets:
     def test_different_seed_differs(self):
         grid = self.make_grid()
         base = InitialConditionSpec.sample(4)
-        a, _, _ = generate_dataset("ks", 1, base, 11, grid)
-        b, _, _ = generate_dataset("ks", 1, base, 12, grid)
+        a, _, _, _ = generate_dataset("ks", 1, base, 11, grid)
+        b, _, _, _ = generate_dataset("ks", 1, base, 12, grid)
         assert not np.array_equal(a[0][0], b[0][0])
 
     def test_embodied_record_is_power_times_time(self):
@@ -524,7 +545,7 @@ class TestDatasets:
     def test_dataset_files_round_trip_full_precision(self, tmp_path):
         grid = self.make_grid()
         base = InitialConditionSpec.sample(4)
-        pairs, _, _ = generate_dataset("ks", 2, base, 11, grid)
+        pairs, _, _, _ = generate_dataset("ks", 2, base, 11, grid)
         write_dataset(tmp_path / "ds", "ks", 11, base, grid, pairs)
         header = json.loads((tmp_path / "ds" / "header.json").read_text())
         assert header["equation"] == "ks"
@@ -552,7 +573,7 @@ class TestDatasets:
         # trajectory and the final-state-only rows are resampled
         grid = replace(default_grid("kdv"), nt=11, t_final=1.0)
         base = InitialConditionSpec.sample(4)
-        pairs, points, reference = generate_dataset("kdv", 3, base, 11, grid)
+        pairs, points, reference, _ = generate_dataset("kdv", 3, base, 11, grid)
         rng = np.random.default_rng(11)
         assert len(pairs) == len(points) == 3
         # each sample is what a one-row solve gives, and is charged only its
@@ -575,6 +596,20 @@ class TestDatasets:
         calm = InitialConditionSpec(amplitudes=(0.1,), frequencies=(1,),
                                     phases=(0.0,), seed=1)
         with pytest.raises(SolverError, match="reference solve failed") as info:
+            generate_dataset("kdv", 2, calm, 7, grid)
+        assert "sample" not in str(info.value)
+
+    def test_blow_up_in_model_row_names_the_model(self, monkeypatch):
+        # the model rides second to last, just before the reference
+        def model_fails(equation, u0s, grid, **kwargs):
+            assert kwargs["modes"][-2:] == [datasets_module.MODEL_MODES, 256]
+            raise SolverError("non-finite state", row=len(u0s) - 2)
+
+        monkeypatch.setattr(datasets_module, "spectral_solve_batch", model_fails)
+        grid = Grid1D(length=64.0, nx=64, nt=11, t_final=10.0)
+        calm = InitialConditionSpec(amplitudes=(0.1,), frequencies=(1,),
+                                    phases=(0.0,), seed=1)
+        with pytest.raises(SolverError, match="model solve failed") as info:
             generate_dataset("kdv", 2, calm, 7, grid)
         assert "sample" not in str(info.value)
 
@@ -616,11 +651,11 @@ class TestPipeline:
         stored = aggregate(store)
         assert stored == res.carbon
 
-    def test_spectral_run_makes_three_distinct_solves(self, monkeypatch):
+    def test_spectral_run_makes_one_batch_solve(self, monkeypatch):
         batches, solves = [], []
 
         def count_batch(equation, u0s, grid, **kwargs):
-            batches.append((len(u0s), list(kwargs["trajectories"])))
+            batches.append((len(u0s), kwargs["modes"], list(kwargs["trajectories"])))
             return spectral_solve_batch(equation, u0s, grid, **kwargs)
 
         def count_solve(equation, u0, grid, **kwargs):
@@ -630,11 +665,11 @@ class TestPipeline:
         monkeypatch.setattr(datasets_module, "spectral_solve_batch", count_batch)
         monkeypatch.setattr(pipeline_module, "spectral_solve", count_solve)
         run_pipeline("kdv", power=PowerModel.fixed(50.0), region="CH", seed=2)
-        # one batch of the 4 dataset samples plus the reference as row 4, the
-        # only row whose trajectory is kept; then the 128-mode trial.  The
-        # 256-mode trial reuses the reference and the final solve the trial
-        assert batches == [(5, [4])]
-        assert solves == [128]
+        # the 4 dataset samples, the 128-mode model as row 4 and the reference
+        # as row 5, the only rows whose trajectories are kept; every later
+        # stage uses one of those two
+        assert batches == [(6, [256] * 4 + [128, 256], [4, 5])]
+        assert solves == []
 
     @pytest.mark.parametrize("workload", ("kdv", "ks"))
     def test_batched_reference_equals_standalone_solve(self, workload, monkeypatch):
@@ -651,8 +686,10 @@ class TestPipeline:
         reference = spectral_solve(workload, u0, grid)
         model = spectral_solve(workload, u0, grid, internal_nx=128)
         assert fields and all(f.tobytes() == reference.values.tobytes() for f in fields)
-        assert res.error.relative_l2 == error_metrics(
-            model.values, reference.values).relative_l2
+        # the model is a masked row of the batch, on the 128-mode trajectory
+        # up to rounding
+        expected = error_metrics(model.values, reference.values).relative_l2
+        assert res.error.relative_l2 == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_stage_charges_match_unbatched_solves(self):
         seed = 2
@@ -704,7 +741,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("workload, name, fail_on, kept, dataset_written", (
         ("kdv", "generate_dataset", 1, [], False),
-        ("kdv", "spectral_solve", 1, ["dataset", "reference-solve"], True),
+        ("kdv", "error_metrics", 1, ["dataset", "reference-solve", "trial-modes128",
+                                     "trial-modes256", "final-solve"], True),
         ("advection", "fd_solve", 3, ["trial-nx64", "trial-nx128"], False),
     ))
     def test_failed_stage_leaves_no_record(self, tmp_path, monkeypatch, workload,
