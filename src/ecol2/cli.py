@@ -34,9 +34,6 @@ from .tracking import (
 )
 from .workloads import WORKLOADS, run_pipeline
 
-DEFAULT_ALPHA = 100.0
-DEFAULT_BETA = 100.0
-DEFAULT_N_INFER = 1
 DEFAULT_POWER = "fixed:50"
 
 RUN_FILE = "run.json"
@@ -71,9 +68,9 @@ def _shared_options(parser: _Parser, *flags: str) -> None:
             default=DEFAULT_POWER, help="power model: sample | rated:<W> | fixed:<W>"
         ),
         "--ledger": dict(default=".", help="record store root"),
-        "--alpha": dict(type=float, default=DEFAULT_ALPHA),
-        "--beta": dict(type=float, default=DEFAULT_BETA),
-        "--n-infer": dict(type=int, default=DEFAULT_N_INFER),
+        "--alpha": dict(type=float, default=EcoL2Params.alpha),
+        "--beta": dict(type=float, default=EcoL2Params.beta),
+        "--n-infer": dict(type=int, default=EcoL2Params.n_infer),
         "--format": dict(choices=("table", "csv", "json"), default="table"),
         "--regions": dict(help="extra region intensities CSV"),
         "--seed": dict(type=int, default=0),
@@ -108,7 +105,6 @@ def _build_parser() -> _Parser:
         "--format", "--regions", "--seed",
     )
     p_bench.add_argument("workload", choices=WORKLOADS)
-    p_bench.add_argument("--dataset-count", type=int, default=4)
     p_bench.add_argument(
         "--sweep-alpha", help="comma-separated alphas; one report row per value"
     )
@@ -205,11 +201,13 @@ def _carbon_row(carbon: CarbonLedger, n_infer: int) -> dict:
     }
 
 
-def _read_run(root: Path) -> dict | None:
-    """The run `bench` stored under a ledger root, or None if there is none.
+def _read_run(root: Path) -> tuple[float, EcoL2Params, str | None] | None:
+    """(r, score parameters, workload) of the run `bench` stored under a
+    ledger root, or None if there is none.
 
-    A run file that is not a JSON object with a numeric r raises
-    ValidationError naming the file.
+    r, alpha, beta and n_infer (defaults for those absent) must pass the
+    scorer's own checks; a run file that fails them or is not a JSON object
+    raises ValidationError naming the file.
     """
     path = root / RUN_FILE
     if not path.is_file():
@@ -220,10 +218,14 @@ def _read_run(root: Path) -> dict | None:
         raise ValidationError(f"{path}: unreadable run file: {err}") from None
     if not isinstance(stored, dict):
         raise ValidationError(f"{path}: run file is not a JSON object")
-    r = stored.get("r")
-    if isinstance(r, bool) or not isinstance(r, (int, float)):
-        raise ValidationError(f"{path}: run file has no numeric r (got {r!r})")
-    return stored
+    try:
+        params = EcoL2Params(
+            **{k: stored[k] for k in ("alpha", "beta", "n_infer") if k in stored}
+        )
+        ecol2(stored.get("r"), CarbonLedger(), params)  # checks r's domain
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from None
+    return stored["r"], params, stored.get("workload")
 
 
 # --- subcommands ---
@@ -364,7 +366,6 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         store=store,
         registry=registry,
-        dataset_count=args.dataset_count,
     )
     main_row = _bench_row(result, args, params)
     run_payload = dict(main_row)
@@ -399,10 +400,10 @@ def cmd_regions(args) -> int:
         raise ValidationError(f"no emission records under {store.root}")
     r = args.r
     if r is None:
-        stored = _read_run(store.root)
-        if stored is None:
+        run = _read_run(store.root)
+        if run is None:
             raise _UsageError("missing inputs: --r (no stored run to read it from)")
-        r = stored["r"]
+        r = run[0]
     duration = sum(rec.duration_s for rec in records)
     rows, scores = [], []
     for target in targets:
@@ -429,22 +430,18 @@ def cmd_report(args) -> int:
     rows, scores = [], []
     for root in args.roots:
         store = LedgerStore(root)
-        stored = _read_run(store.root)
-        if stored is None:
+        run = _read_run(store.root)
+        if run is None:
             raise ValidationError(f"no stored run ({RUN_FILE}) under {root}")
+        r, params, workload = run
         carbon = aggregate(store)
-        params = EcoL2Params(
-            alpha=stored.get("alpha", DEFAULT_ALPHA),
-            beta=stored.get("beta", DEFAULT_BETA),
-            n_infer=int(stored.get("n_infer", DEFAULT_N_INFER)),
-        )
-        score = ecol2(stored["r"], carbon, params)
+        score = ecol2(r, carbon, params)
         scores.append(score)
         rows.append(
             {
                 "model": Path(root).name,
-                "workload": stored.get("workload"),
-                "r": stored["r"],
+                "workload": workload,
+                "r": r,
                 "c_total": carbon.total(params.n_infer),
                 "ecol2": score.value,
             }

@@ -150,7 +150,6 @@ def _row_to_record(row, row_no, stage, columns, registry, path) -> EmissionRecor
         duration_s=duration_s,
         region=region,
         emissions_kg=emissions_kg,
-        inference_count=1 if stage == "inference" else None,
     )
 
 

@@ -44,14 +44,13 @@ class _WriterLock:
     a lock file left behind by a killed writer blocks nobody.
     """
 
-    def __init__(self, path: Path, timeout: float = _LOCK_TIMEOUT_S):
+    def __init__(self, path: Path):
         self._path = path
-        self._timeout = timeout
         self._fd = None
 
     def __enter__(self):
         fd = os.open(self._path, os.O_CREAT | os.O_WRONLY, 0o644)
-        deadline = time.monotonic() + self._timeout
+        deadline = time.monotonic() + _LOCK_TIMEOUT_S
         try:
             while True:
                 try:
@@ -89,10 +88,9 @@ def _slug(label: str) -> str:
 
 
 class LedgerStore:
-    def __init__(self, root: str | Path, *, lock_timeout: float = _LOCK_TIMEOUT_S):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         self.emissions_dir = self.root / "Emissions"
-        self.lock_timeout = lock_timeout
 
     def stage_dir(self, stage: str) -> Path:
         if stage not in STAGE_DIRS:
@@ -104,7 +102,7 @@ class LedgerStore:
         stage_dir = self.stage_dir(emission.stage)
         stage_dir.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(emission.to_dict(), sort_keys=True, indent=1)
-        with _WriterLock(self.emissions_dir / ".lock", timeout=self.lock_timeout):
+        with _WriterLock(self.emissions_dir / ".lock"):
             millis = int(time.time() * 1000)
             base = f"{millis}-{_slug(emission.label)}"
             path = stage_dir / f"{base}.json"
@@ -157,7 +155,7 @@ def summarize(records) -> CarbonLedger:
         stage: math.fsum(r.emissions_kg for r in recs)
         for stage, recs in by_stage.items()
     }
-    inf_count = sum(r.inference_count or 1 for r in by_stage["inference"])
+    inf_count = sum(r.inference_count for r in by_stage["inference"])
     c_inference = totals["inference"] / inf_count if inf_count else 0.0
     return CarbonLedger(
         c_embodied=totals["embodied"],

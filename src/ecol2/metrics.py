@@ -38,12 +38,13 @@ class EcoL2Params:
     n_infer: int = 1
 
     def __post_init__(self):
-        if self.alpha == 1.0:
+        alpha = _finite_real(self.alpha, "alpha", ParameterError)
+        if alpha == 1.0:
             raise ParameterError("alpha == 1 makes the error transform singular")
-        if not (math.isfinite(self.alpha) and self.alpha > 1.0):
-            raise ParameterError(f"alpha must be finite and > 1, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ParameterError(f"beta must be finite and >= 0, got {self.beta}")
+        if not alpha > 1.0:
+            raise ParameterError(f"alpha must be > 1, got {alpha}")
+        if not _finite_real(self.beta, "beta", ParameterError) >= 0:
+            raise ParameterError(f"beta must be >= 0, got {self.beta}")
         if not (
             isinstance(self.n_infer, int)
             and not isinstance(self.n_infer, bool)
@@ -109,11 +110,11 @@ class EcoL2Score:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _finite_real(r) -> float:
-    """r as a float, if it is a finite real number (numpy scalars too, bool not)."""
-    if not (isinstance(r, numbers.Real) and not isinstance(r, bool) and math.isfinite(r)):
-        raise DomainError(f"r must be a finite number, got {r!r}")
-    return float(r)
+def _finite_real(x, name: str = "r", error: type = DomainError) -> float:
+    """x as a float, if it is a finite real number (numpy scalars too, bool not)."""
+    if not (isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)):
+        raise error(f"{name} must be a finite number, got {x!r}")
+    return float(x)
 
 
 def ecol2_numerator(r: float, alpha: float) -> float:
@@ -170,20 +171,12 @@ def ecol2(
 
 
 def error_metrics(prediction, reference) -> ErrorReport:
-    """Field error metrics.
+    """Field error metrics of a prediction against a reference of the same shape.
 
-    prediction may carry one extra leading axis (stacked runs); runs are
-    averaged element-wise before comparison.  Shapes must match otherwise.
+    Runs are averaged before this, by import_field_csv.
     """
     pred = np.asarray(prediction, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
-    if pred.ndim == ref.ndim + 1:
-        if pred.shape[1:] != ref.shape:
-            raise MetricError(
-                f"stacked prediction runs {pred.shape} do not match "
-                f"reference {ref.shape}"
-            )
-        pred = pred.mean(axis=0)
     if pred.shape != ref.shape:
         raise MetricError(
             f"prediction shape {pred.shape} does not match reference {ref.shape}"

@@ -80,7 +80,12 @@ class PowerModel:
 
 @dataclass(frozen=True)
 class EmissionRecord:
-    """One persisted measurement of a work unit."""
+    """One persisted measurement of a work unit.
+
+    inference_count is the number of inference passes the record covers:
+    only an inference record has one, an int >= 1, and 1 when none is
+    given.
+    """
 
     stage: str
     label: str
@@ -99,6 +104,14 @@ class EmissionRecord:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
                 raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
+        count = self.inference_count
+        if count is None:
+            if self.stage == "inference":
+                object.__setattr__(self, "inference_count", 1)
+        elif self.stage != "inference":
+            raise ValidationError("inference_count only applies to the inference stage")
+        elif type(count) is not int or count < 1:
+            raise ValidationError(f"inference_count must be an integer >= 1, got {count!r}")
 
     def to_dict(self) -> dict:
         out = {
@@ -127,9 +140,7 @@ class EmissionRecord:
             duration_s=float(data["duration_s"]),
             region=data["region"],
             emissions_kg=float(data["emissions_kg"]),
-            inference_count=(
-                int(data["inference_count"]) if "inference_count" in data else None
-            ),
+            inference_count=data.get("inference_count"),
             power_trace=(
                 tuple((float(t), float(w)) for t, w in trace)
                 if trace is not None
@@ -324,13 +335,6 @@ class EmissionSession:
             energy_kwh = (self._samples[-1][1] - self._samples[0][1]) / JOULES_PER_KWH
         else:
             energy_kwh = self.power.watts * duration / JOULES_PER_KWH
-        if inference_count is not None:
-            if self.stage != "inference":
-                raise ValidationError("inference_count only applies to the inference stage")
-            if inference_count < 1:
-                raise ValidationError("inference_count must be >= 1")
-        elif self.stage == "inference":
-            inference_count = 1
         return EmissionRecord(
             stage=self.stage,
             label=self.label,

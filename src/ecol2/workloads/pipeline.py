@@ -74,7 +74,6 @@ def run_pipeline(
     seed: int = 0,
     store: LedgerStore | None = None,
     registry=None,
-    dataset_count: int = DEFAULT_DATASET_COUNT,
 ) -> PipelineResult:
     """Run all lifecycle stages of one workload and score the result."""
     if workload not in WORKLOADS:
@@ -116,7 +115,7 @@ def run_pipeline(
         # the work of the row it uses
         with stage("embodied", "dataset"):
             pairs, sample_points, reference, model = generate_dataset(
-                workload, dataset_count, base_spec, seed, grid
+                workload, DEFAULT_DATASET_COUNT, base_spec, seed, grid
             )
             for points in sample_points:
                 charge_work(clock, points)

@@ -291,6 +291,35 @@ class TestScore:
         assert code == 1
         assert "exclusive" in err
 
+    def test_bad_inference_count_on_disk_is_runtime_failure(self, tmp_path, capsys):
+        store = LedgerStore(tmp_path)
+        store.record(make_record("inference", 1e-4, inference_count=1))
+        bad = store.record(make_record("inference", 1e-4, label="bad"))
+        data = json.loads(bad.read_text())
+        data["inference_count"] = -1
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "score", "--ledger", str(tmp_path), "--r", "0.01"
+        )
+        assert code == 2
+        assert str(bad) in err
+        assert out == ""
+
+    def test_stacked_prediction_against_one_row_reference_rejected(
+        self, tmp_path, capsys
+    ):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(",".join(["1.0"] * 8) for _ in range(5)) + "\n")
+        ref = tmp_path / "ref.csv"
+        ref.write_text(",".join(["2.0"] * 8) + "\n")
+        code, out, err = run_cli(
+            capsys, "score", "--ledger", str(tmp_path),
+            "--prediction", str(pred), "--reference", str(ref),
+        )
+        assert code == 1
+        assert "(5, 8)" in err and "(8,)" in err
+        assert out == ""
+
     def test_corrupt_ledger_is_runtime_failure(self, tmp_path, capsys):
         stage_dir = tmp_path / "Emissions" / "Operational"
         stage_dir.mkdir(parents=True)
@@ -440,6 +469,42 @@ class TestBench:
         assert "--region" in err
 
 
+# charged carbon of `bench <workload> --seed 0 --power fixed:50 --region CH`:
+# (c_embodied, c_developmental, c_operational, c_inference, c_total) and the
+# record count of each stage directory.  These follow from the work each
+# stage is charged on the virtual clock, not from the floating-point
+# rounding of the solves, so they stay fixed while a solver is reworked.
+PINNED_CARBON = {
+    "advection": ((0.0, 2.452736e-08, 7.358208e-08, 1.2387555555555563e-08,
+                   1.1049699555555556e-07), (0, 2, 1, 1)),
+    "reaction": ((0.0, 9.197759999999999e-09, 1.226368e-08, 1.2387555555555553e-08,
+                  3.384899555555555e-08), (0, 2, 1, 1)),
+    "wave": ((0.0, 2.452736e-08, 7.358208e-08, 1.2387555555555563e-08,
+              1.1049699555555556e-07), (0, 2, 1, 1)),
+    "kdv": ((6.131840000000001e-07, 1.532960000000001e-07, 3.065920000000004e-08,
+             4.8388888888888944e-09, 8.019780888888891e-07), (2, 2, 1, 1)),
+    "ks": ((5.3960192e-07, 1.410323200000001e-07, 3.065920000000004e-08,
+            1.238755555555559e-08, 7.236809955555556e-07), (2, 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_CARBON))
+def test_charged_carbon_is_pinned(tmp_path, capsys, workload):
+    carbon, counts = PINNED_CARBON[workload]
+    rows, _ = run_json(
+        capsys, "bench", workload, "--seed", "0", "--power", "fixed:50",
+        "--region", "CH", "--ledger", str(tmp_path),
+    )
+    (row,) = rows
+    keys = ("c_embodied", "c_developmental", "c_operational", "c_inference", "c_total")
+    assert tuple(row[k] for k in keys) == carbon
+    stage_dirs = ("Embodied", "Developmental", "Operational", "Inference")
+    found = tuple(
+        len(list((tmp_path / "Emissions" / d).glob("*.json"))) for d in stage_dirs
+    )
+    assert found == counts
+
+
 class TestRegions:
     INTENSITY_ORDER = ("CH", "NZ", "GB", "US", "AE", "ZA")
 
@@ -522,6 +587,13 @@ class TestRegions:
         assert str(tmp_path / "run.json") in err
         assert "Traceback" not in err
 
+    def test_non_finite_stored_r_names_the_run_file(self, tmp_path, capsys):
+        self.seed_store(tmp_path)
+        (tmp_path / "run.json").write_text('{"r": NaN}')
+        code, _, err = run_cli(capsys, "regions", "NZ", "--ledger", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path / 'run.json'}: ")
+
     def test_empty_ledger_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "regions", "CH", "--ledger", str(tmp_path), "--r", "1e-2"
@@ -597,7 +669,10 @@ class TestReport:
         assert "run.json" in err
 
     @pytest.mark.parametrize("content", ("{not json", '{"workload": "advection"}',
-                                         '{"r": null}', '["r", 0.01]'))
+                                         '{"r": null}', '["r", 0.01]', '{"r": NaN}',
+                                         '{"r": 0.01, "alpha": "abc"}',
+                                         '{"r": 0.01, "alpha": null}',
+                                         '{"r": 0.01, "n_infer": 2.7}'))
     def test_corrupt_or_r_less_run_file_rejected(self, tmp_path, capsys, content):
         root = self.build_roots(tmp_path)[0]
         (root / "run.json").write_text(content)

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+import ecol2.ledger as ledger
 from conftest import STAGE_ORDER, make_record
 from ecol2 import (
     CarbonLedger,
@@ -127,6 +128,32 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             EmissionRecord(**dict(fields, **{field: value}))
 
+    @pytest.mark.parametrize("count", (-1, 0, 2.5, True, "3"))
+    def test_inference_count_must_be_a_positive_int(self, count):
+        with pytest.raises(ValidationError, match="inference_count"):
+            make_record("inference", 1e-4, inference_count=count)
+
+    @pytest.mark.parametrize("stage", ("embodied", "developmental", "operational"))
+    def test_inference_count_only_on_inference_records(self, stage):
+        with pytest.raises(ValidationError, match="inference stage"):
+            make_record(stage, 1e-4, inference_count=1)
+
+    def test_inference_record_counts_one_by_default(self):
+        fields = dict(stage="inference", label="x", energy_kwh=0.0,
+                      duration_s=1.0, region="CH", emissions_kg=1e-4)
+        assert EmissionRecord(**fields).inference_count == 1
+        assert EmissionRecord.from_dict(fields).inference_count == 1
+
+    @pytest.mark.parametrize("count", (-1, 0, 2.5, True, "2"))
+    def test_bad_inference_count_on_disk_named_in_error(self, tmp_path, count):
+        store = LedgerStore(tmp_path)
+        path = store.record(make_record("inference", 1e-4))
+        data = json.loads(path.read_text())
+        data["inference_count"] = count
+        path.write_text(json.dumps(data))
+        with pytest.raises(LedgerError, match=str(path.name)):
+            aggregate(store)
+
     def test_stage_mismatch_detected(self, tmp_path):
         store = LedgerStore(tmp_path)
         path = store.record(make_record("operational", 1e-4))
@@ -218,7 +245,8 @@ class TestLocking:
         assert not errors
         assert len(store.read_stage("operational")) == 16
 
-    def test_held_lock_times_out(self, tmp_path):
+    def test_held_lock_times_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ledger, "_LOCK_TIMEOUT_S", 0.2)
         store = LedgerStore(tmp_path)
         store.record(make_record("operational", 1e-6))
         # another open file description on the lock file, as another
@@ -226,14 +254,14 @@ class TestLocking:
         with open(tmp_path / "Emissions" / ".lock", "w") as held:
             fcntl.flock(held, fcntl.LOCK_EX)
             with pytest.raises(LedgerError, match="locked by another writer"):
-                LedgerStore(tmp_path, lock_timeout=0.2).record(
-                    make_record("operational", 1e-6))
+                store.record(make_record("operational", 1e-6))
         assert len(store.read_stage("operational")) == 1
 
-    def test_leftover_lock_file_does_not_block(self, tmp_path):
+    def test_leftover_lock_file_does_not_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ledger, "_LOCK_TIMEOUT_S", 0.2)
         store = LedgerStore(tmp_path)
         store.record(make_record("operational", 1e-6))
         # what a writer killed mid-record under the old scheme left behind
         (tmp_path / "Emissions" / ".lock").write_text("12345")
-        LedgerStore(tmp_path, lock_timeout=0.2).record(make_record("operational", 1e-6))
+        store.record(make_record("operational", 1e-6))
         assert len(store.read_stage("operational")) == 2

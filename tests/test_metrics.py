@@ -11,6 +11,7 @@ from ecol2 import (
     CarbonLedger,
     DomainError,
     EcoL2Params,
+    MetricError,
     ParameterError,
     ValidationError,
     ecol2,
@@ -120,6 +121,12 @@ class TestScore:
         with pytest.raises(ParameterError):
             EcoL2Params(n_infer=-1)
 
+    @pytest.mark.parametrize("name", ("alpha", "beta"))
+    @pytest.mark.parametrize("value", ("abc", None, True, float("nan"), float("inf")))
+    def test_non_number_weights_raise_parameter_error(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
+            EcoL2Params(**{name: value})
+
     def test_bool_n_infer_rejected(self):
         for flag in (True, False):
             with pytest.raises(ParameterError):
@@ -184,14 +191,12 @@ class TestErrorMetrics:
         assert report.max_error == pytest.approx(1.0, rel=1e-12)
         assert report.mae == pytest.approx(1.0 / 3.0, rel=1e-12)
 
-    def test_stacked_predictions_average_first(self):
+    def test_stacked_prediction_is_a_shape_mismatch(self):
         rng = np.random.default_rng(5)
         ref = rng.standard_normal(30)
         runs = ref + rng.standard_normal((3, 30))
-        stacked = error_metrics(runs, ref)
-        premeaned = error_metrics(runs.mean(axis=0), ref)
-        assert stacked.relative_l2 == pytest.approx(premeaned.relative_l2, rel=1e-12)
-        assert stacked.rmse == pytest.approx(premeaned.rmse, rel=1e-12)
+        with pytest.raises(MetricError, match=r"\(3, 30\).*\(30,\)"):
+            error_metrics(runs, ref)
 
     def test_zero_reference_leaves_relative_undefined(self):
         report = error_metrics(np.array([1.0, -1.0]), np.zeros(2))
