@@ -28,7 +28,6 @@ from .metrics import (
     ecol2,
     ecol2_numerator,
     error_metrics,
-    sweep,
 )
 from .regions import RegionRegistry, default_registry
 from .tracking import (
@@ -72,7 +71,6 @@ __all__ = [
     "start_session",
     "stop_session",
     "summarize",
-    "sweep",
     "what_if_region",
     "__version__",
 ]

@@ -68,9 +68,10 @@ def _shared_options(parser: _Parser, *flags: str) -> None:
             default=DEFAULT_POWER, help="power model: sample | rated:<W> | fixed:<W>"
         ),
         "--ledger": dict(default=".", help="record store root"),
-        "--alpha": dict(type=float, default=EcoL2Params.alpha),
-        "--beta": dict(type=float, default=EcoL2Params.beta),
-        "--n-infer": dict(type=int, default=EcoL2Params.n_infer),
+        # None when not given: _params fills in the stored or default value
+        "--alpha": dict(type=float),
+        "--beta": dict(type=float),
+        "--n-infer": dict(type=int),
         "--format": dict(choices=("table", "csv", "json"), default="table"),
         "--regions": dict(help="extra region intensities CSV"),
         "--seed": dict(type=int, default=0),
@@ -181,8 +182,13 @@ def _registry(args) -> RegionRegistry:
     return default_registry()
 
 
-def _params(args) -> EcoL2Params:
-    return EcoL2Params(alpha=args.alpha, beta=args.beta, n_infer=args.n_infer)
+def _params(args, stored: EcoL2Params | None = None) -> EcoL2Params:
+    """Score parameters: each flag given on the command line, else the
+    value in `stored` (a stored run's), else the scorer's default."""
+    given = {"alpha": args.alpha, "beta": args.beta, "n_infer": args.n_infer}
+    return replace(
+        stored or EcoL2Params(), **{k: v for k, v in given.items() if v is not None}
+    )
 
 
 def _require_region(args) -> str:
@@ -388,7 +394,6 @@ def cmd_bench(args) -> int:
 
 def cmd_regions(args) -> int:
     registry = _registry(args)
-    params = _params(args)
     store = LedgerStore(args.ledger)
     targets = []
     for chunk in args.targets:
@@ -398,12 +403,13 @@ def cmd_regions(args) -> int:
     records = [rec for recs in store.read_all().values() for rec in recs]
     if not records:
         raise ValidationError(f"no emission records under {store.root}")
-    r = args.r
+    r, stored = args.r, None
     if r is None:
         run = _read_run(store.root)
         if run is None:
             raise _UsageError("missing inputs: --r (no stored run to read it from)")
-        r = run[0]
+        r, stored, _ = run
+    params = _params(args, stored)
     duration = sum(rec.duration_s for rec in records)
     rows, scores = [], []
     for target in targets:

@@ -156,8 +156,10 @@ def _row_to_record(row, row_no, stage, columns, registry, path) -> EmissionRecor
 def import_field_csv(paths) -> np.ndarray:
     """Load one field from one or more run dumps, averaging runs.
 
-    Every file must parse to the same shape; a mismatch reports both
-    shapes.  Returns the element-wise mean across files.
+    Every file must hold at least one value, all finite, and parse to the
+    same shape; a mismatch reports both shapes, a non-finite value its
+    file and row (data rows counted from 1).  Returns the element-wise
+    mean across files.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
@@ -167,10 +169,23 @@ def import_field_csv(paths) -> np.ndarray:
     fields = []
     for p in paths:
         try:
-            arr = np.loadtxt(p, delimiter=",", ndmin=1, dtype=np.float64)
+            with warnings.catch_warnings():
+                # an empty file is rejected below, naming it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # (rows, columns) even for one row or one column
+                rows = np.loadtxt(p, delimiter=",", ndmin=2, dtype=np.float64)
         except (ValueError, OSError) as err:
             raise IngestError(f"{p}: {err}") from err
-        fields.append(arr)
+        if rows.size == 0:
+            raise IngestError(f"{p}: no values in field file")
+        bad = np.argwhere(~np.isfinite(rows))
+        if len(bad):
+            row, col = bad[0]
+            raise IngestError(
+                f"{p}, row {row + 1}: value {float(rows[row, col])!r} is not finite"
+            )
+        # the shape np.loadtxt gives with ndmin=1: one row or column is 1-D
+        fields.append(np.atleast_1d(rows.squeeze()))
     shape = fields[0].shape
     for p, arr in zip(paths[1:], fields[1:]):
         if arr.shape != shape:

@@ -36,6 +36,9 @@ STAGE_DIRS = {
 _LOCK_TIMEOUT_S = 5.0
 _LOCK_RETRY_S = 0.01
 
+# bytes per os.read of a record file; a record is a few hundred bytes
+_READ_CHUNK = 1 << 16
+
 
 class _WriterLock:
     """flock on a lock file that stays in place between writers.
@@ -72,6 +75,18 @@ class _WriterLock:
         os.close(self._fd)
         self._fd = None
         return False
+
+
+def _read_bytes(path: str) -> bytes:
+    """The whole content of a file, read to EOF in chunks."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _slug(label: str) -> str:
@@ -116,18 +131,24 @@ class LedgerStore:
         return path
 
     def read_stage(self, stage: str) -> list[EmissionRecord]:
-        """All records of one stage, in filename order; none if never written."""
+        """All records of one stage, in filename order; none if never written.
+
+        Every call reads, decodes and validates every `*.json` file of the
+        stage directory; nothing is cached between calls.
+        """
         stage_dir = self.stage_dir(stage)
         if not stage_dir.is_dir():
             return []
+        prefix = os.path.join(stage_dir, "")
         records = []
-        # by name: the same order within one directory, and about 15 times
-        # faster to sort than Path objects
-        for path in sorted(stage_dir.glob("*.json"), key=lambda p: p.name):
+        # plain names and str paths: a Path per record cost more than its read
+        for name in sorted(n for n in os.listdir(prefix) if n.endswith(".json")):
+            path = prefix + name
             try:
-                data = json.loads(path.read_text(encoding="utf-8"))
+                # decoded first: json.loads would also take UTF-16 or a BOM
+                data = json.loads(_read_bytes(path).decode("utf-8"))
                 rec = EmissionRecord.from_dict(data)
-            except (ValueError, KeyError, TypeError, ValidationError) as err:
+            except (OSError, ValueError, KeyError, TypeError, ValidationError) as err:
                 raise LedgerError(f"corrupt record file {path}: {err}") from err
             if rec.stage != stage:
                 raise LedgerError(

@@ -196,21 +196,3 @@ def error_metrics(prediction, reference) -> ErrorReport:
         mae=float(np.mean(np.abs(diff))),
         n_points=n,
     )
-
-
-def sweep(
-    r: float,
-    carbon: CarbonLedger,
-    alphas,
-    betas,
-    n_infer: int = 1,
-) -> list[list[EcoL2Score]]:
-    """Score grid over alpha x beta, row-major in alpha."""
-    alphas = list(alphas)
-    betas = list(betas)
-    if not alphas or not betas:
-        raise ParameterError("sweep needs at least one alpha and one beta")
-    return [
-        [ecol2(r, carbon, EcoL2Params(alpha=a, beta=b, n_infer=n_infer)) for b in betas]
-        for a in alphas
-    ]

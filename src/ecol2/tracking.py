@@ -17,7 +17,7 @@ import glob
 import math
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ParameterError, RegionError, TrackingError, ValidationError
@@ -78,7 +78,7 @@ class PowerModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmissionRecord:
     """One persisted measurement of a work unit.
 
@@ -100,10 +100,9 @@ class EmissionRecord:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValidationError(f"stage must be one of {STAGES}, got {self.stage!r}")
-        for name in ("energy_kwh", "duration_s", "emissions_kg"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
+        _check_amount("energy_kwh", self.energy_kwh)
+        _check_amount("duration_s", self.duration_s)
+        _check_amount("emissions_kg", self.emissions_kg)
         count = self.inference_count
         if count is None:
             if self.stage == "inference":
@@ -148,6 +147,11 @@ class EmissionRecord:
             ),
             failed=bool(data.get("failed", False)),
         )
+
+
+def _check_amount(name: str, value) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def emissions_kg_from_energy(energy_kwh: float, intensity_g_per_kwh: float) -> float:
@@ -400,8 +404,15 @@ def what_if_region(
         )
     source_intensity = registry.lookup(record.region)
     scale = target_intensity / source_intensity
-    return replace(
-        record,
+    # a direct call: dataclasses.replace costs more than the copy itself
+    return EmissionRecord(
+        stage=record.stage,
+        label=record.label,
+        energy_kwh=record.energy_kwh,
+        duration_s=record.duration_s,
         region=target_region,
         emissions_kg=record.emissions_kg * scale,
+        inference_count=record.inference_count,
+        power_trace=record.power_trace,
+        failed=record.failed,
     )

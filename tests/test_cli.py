@@ -560,6 +560,23 @@ class TestRegions:
         )
         assert stored == explicit
 
+    def test_stored_run_parameters_score_the_row(self, tmp_path, capsys):
+        # the row means what bench's and report's rows mean on the same ledger
+        ledger = str(tmp_path)
+        bench, _ = run_json(capsys, "bench", "advection", "--region", "CH",
+                            "--alpha", "10", "--ledger", ledger)
+        regions, _ = run_json(capsys, "regions", "CH", "--ledger", ledger)
+        report, _ = run_json(capsys, "report", ledger)
+        assert bench[0]["ecol2"] == regions[0]["ecol2"] == report[0]["ecol2"]
+        assert regions[0]["ecol2"] == 0.9701484505300683
+        # a flag given on the command line overrides the stored value
+        given, _ = run_json(capsys, "regions", "CH", "--ledger", ledger,
+                            "--alpha", "100")
+        explicit, _ = run_json(capsys, "regions", "CH", "--ledger", ledger,
+                               "--r", repr(bench[0]["r"]))
+        assert given == explicit
+        assert given[0]["ecol2"] != regions[0]["ecol2"]
+
     def test_score_note_printed_once_for_all_targets(self, tmp_path, capsys):
         self.seed_store(tmp_path)
         code, out, err = run_cli(

@@ -171,3 +171,27 @@ class TestFieldImport:
         with pytest.raises((IngestError, ValidationError)) as err:
             import_field_csv([a, b])
         assert "(3,)" in str(err.value) and "(4,)" in str(err.value)
+
+    @pytest.mark.parametrize("body, row, value", [
+        ("1\n2\nnan\n", 3, "nan"),
+        ("1,2\n\n3,-inf\n", 2, "-inf"),
+        ("inf,1,2\n", 1, "inf"),
+    ])
+    def test_non_finite_cell_names_file_and_row(self, tmp_path, body, row, value):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(body.replace("nan", "0").replace("inf", "0"))
+        bad.write_text(body)
+        with pytest.raises(IngestError) as err:
+            import_field_csv([good, bad])
+        assert str(err.value) == f"{bad}, row {row}: value {value} is not finite"
+
+    @pytest.mark.parametrize("body", ("", "\n\n", "# header only\n"))
+    def test_empty_file_names_the_file(self, tmp_path, body):
+        good, empty = tmp_path / "good.csv", tmp_path / "empty.csv"
+        good.write_text("1\n2\n3\n")
+        empty.write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestError) as err:
+                import_field_csv([good, empty])
+        assert str(err.value) == f"{empty}: no values in field file"

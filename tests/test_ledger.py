@@ -2,6 +2,7 @@
 
 import fcntl
 import json
+import re
 import threading
 
 import pytest
@@ -160,8 +161,70 @@ class TestRoundTrip:
         data = json.loads(path.read_text())
         data["stage"] = "embodied"
         path.write_text(json.dumps(data))
-        with pytest.raises(LedgerError):
+        with pytest.raises(LedgerError, match=re.escape(str(path))):
             store.read_stage("operational")
+
+    @pytest.mark.parametrize("spoil", [
+        lambda b: b"{not json",
+        lambda b: b.replace(b'"fixture"', b'"fix\xffture"'),  # invalid UTF-8
+        lambda b: b"\xef\xbb\xbf" + b,  # UTF-8 BOM
+        lambda b: b.decode("utf-8").encode("utf-16"),
+        lambda b: b.decode("utf-8").encode("utf-16-le"),
+    ], ids=["json", "utf-8", "bom", "utf-16", "utf-16-le"])
+    def test_undecodable_file_named_in_error(self, tmp_path, spoil):
+        store = LedgerStore(tmp_path)
+        path = store.record(make_record("operational", 1e-4))
+        spoilt = spoil(path.read_bytes())
+        assert spoilt != path.read_bytes()
+        path.write_bytes(spoilt)
+        with pytest.raises(LedgerError, match=re.escape(str(path))):
+            store.read_stage("operational")
+
+    def test_unreadable_entry_named_in_error(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        path = store.record(make_record("operational", 1e-4)).with_name("x.json")
+        path.mkdir()
+        with pytest.raises(LedgerError, match=re.escape(str(path))):
+            store.read_stage("operational")
+
+    def test_only_json_files_are_read(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        kept = [store.record(make_record("operational", 1e-4, label=f"r{i}")) for i in range(2)]
+        stage_dir = kept[0].parent
+        # what an interrupted writer leaves, and names no writer makes
+        for name in ("1700000000000-x.json.tmp", "notes.txt", "upper.JSON", "json"):
+            (stage_dir / name).write_text("{not json")
+        assert [r.label for r in store.read_stage("operational")] == ["r0", "r1"]
+
+    def test_record_larger_than_one_read_chunk(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        trace = tuple((0.1 * i, 50.0 + 0.123456789 * (i % 7)) for i in range(3000))
+        rec = EmissionRecord(stage="operational", label="sampled", energy_kwh=1e-3,
+                             duration_s=300.0, region="CH", emissions_kg=3.484e-5,
+                             power_trace=trace)
+        path = store.record(rec)
+        assert path.stat().st_size > ledger._READ_CHUNK
+        assert store.read_stage("operational") == [rec]
+
+    def test_large_ledger_matches_a_plain_read(self, tmp_path):
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        store = LedgerStore(tmp_path)
+        for _ in range(1000):
+            store.record(random_record(rng))
+        expected = {}
+        for stage, sub in STAGE_DIRS.items():
+            stage_dir = tmp_path / "Emissions" / sub
+            paths = sorted(stage_dir.glob("*.json"), key=lambda p: p.name)
+            expected[stage] = [
+                EmissionRecord.from_dict(json.loads(p.read_text(encoding="utf-8")))
+                for p in paths
+            ]
+        assert sum(map(len, expected.values())) == 1000
+        assert store.read_all() == expected
+        assert aggregate(store) == summarize(
+            rec for recs in expected.values() for rec in recs)
 
 
 class TestAggregation:

@@ -17,7 +17,6 @@ from ecol2 import (
     ecol2,
     ecol2_numerator,
     error_metrics,
-    sweep,
 )
 
 # Frozen against an arbitrary-precision evaluation of 1 - r**(1/ln(alpha)).
@@ -225,26 +224,22 @@ class TestErrorMetrics:
 
 
 class TestSweep:
+    """The score across a sweep of one parameter, the others held."""
+
     def test_degenerate_grid_matches_single_call(self):
         carbon = CarbonLedger(c_operational=2e-3)
-        grid = sweep(1e-3, carbon, [100.0], [100.0])
-        assert grid[0][0].value == ecol2(1e-3, carbon).value
+        score = ecol2(1e-3, carbon, EcoL2Params(alpha=100.0, beta=100.0))
+        assert score.value == ecol2(1e-3, carbon).value
 
     def test_alpha_direction(self):
         # Larger alpha weakens the error transform, so the score drops.
         carbon = CarbonLedger(c_operational=1e-4)
-        grid = sweep(1e-4, carbon, [10.0, 20.0, 50.0, 100.0, 300.0, 1000.0], [100.0])
-        values = [row[0].value for row in grid]
+        values = [ecol2(1e-4, carbon, EcoL2Params(alpha=a, beta=100.0)).value
+                  for a in (10.0, 20.0, 50.0, 100.0, 300.0, 1000.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_beta_direction(self):
         carbon = CarbonLedger(c_operational=1e-4)
-        grid = sweep(1e-4, carbon, [100.0], [1.0, 10.0, 100.0, 1e3, 1e4])
-        values = grid[0]
+        values = [ecol2(1e-4, carbon, EcoL2Params(alpha=100.0, beta=b))
+                  for b in (1.0, 10.0, 100.0, 1e3, 1e4)]
         assert all(a.value > b.value for a, b in zip(values, values[1:]))
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValidationError):
-            sweep(1e-3, CarbonLedger(), [], [100.0])
-        with pytest.raises(ValidationError):
-            sweep(1e-3, CarbonLedger(), [100.0], [])

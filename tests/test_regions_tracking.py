@@ -1,5 +1,6 @@
 """Region registry, power models, emission sessions, what-if rescaling."""
 
+import dataclasses
 import threading
 import time
 
@@ -291,6 +292,26 @@ class TestWhatIf:
         rec = run_fixed_session(50.0, 10.0, "CH")
         with pytest.raises(RegionError):
             what_if_region(rec, "XX")
+
+    @pytest.mark.parametrize("stage, count, trace, failed", [
+        ("operational", None, None, False),
+        ("inference", 7, ((0.0, 40.0), (5.0, 60.0)), True),
+    ])
+    def test_copy_equals_dataclasses_replace(self, stage, count, trace, failed):
+        rec = EmissionRecord(stage=stage, label="run", energy_kwh=0.25, duration_s=90.0,
+                             region="NZ", emissions_kg=2.819e-2, inference_count=count,
+                             power_trace=trace, failed=failed)
+        moved = what_if_region(rec, "ZA")
+        assert moved == dataclasses.replace(
+            rec, region="ZA", emissions_kg=rec.emissions_kg * (707.69 / 112.76))
+        assert type(moved) is EmissionRecord
+
+    def test_overflowing_emissions_rejected(self):
+        registry = RegionRegistry({"LO": 1e-300, "HI": 1e300})
+        rec = EmissionRecord(stage="operational", label="run", energy_kwh=1.0,
+                             duration_s=1.0, region="LO", emissions_kg=1.0)
+        with pytest.raises(ValidationError, match="emissions_kg must be finite"):
+            what_if_region(rec, "HI", registry)
 
     def test_unknown_source_cannot_rescale(self):
         rec = EmissionRecord(stage="operational", label="import", energy_kwh=0.0,

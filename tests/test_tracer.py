@@ -3,7 +3,9 @@
 perfbench/tracer.py replaces module globals such as
 `pipeline.spectral_solve` and `spectral.fourier_resample` by name, so a
 renamed or dropped global breaks `perfbench/run.py --trace 1` without
-failing any test of the package itself.
+failing any test of the package itself.  A traced ledger-history op also
+pins its read counts, so a faster read path shows as less time per
+record, not as fewer reads.
 """
 
 import os
@@ -27,9 +29,41 @@ assert tracer.totals["datasets.generate_dataset.calls"] == 1
 """
 
 
-def test_tracer_installs_and_traces_a_spectral_run():
+_LEDGER_SCRIPT = """
+import sys
+from pathlib import Path
+from tracer import Tracer
+from workloads import LedgerHistory
+
+scratch = Path(sys.argv[1])
+workload = LedgerHistory(Path(sys.argv[2]), scratch, 0)
+workload.setup()
+tracer = Tracer()
+tracer.install()
+tracer.begin_op()
+out = workload.op(0)
+tracer.end_op()
+assert workload.check_op(0, out) == []
+t = tracer.totals
+assert t["ledger.aggregate.calls"] == 1, t["ledger.aggregate.calls"]
+assert t["ledger.read_stage.calls"] == 8, t["ledger.read_stage.calls"]
+assert t["ledger.records_read"] == 2000, t["ledger.records_read"]
+assert t["regions.what_if_region.calls"] == 6000, t["regions.what_if_region.calls"]
+"""
+
+
+def _run_with_perfbench(script, *argv):
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_tracer_installs_and_traces_a_spectral_run():
+    proc = _run_with_perfbench(_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_ledger_history_op_keeps_its_read_counts(tmp_path):
+    proc = _run_with_perfbench(_LEDGER_SCRIPT, str(tmp_path), str(ROOT / "src"))
     assert proc.returncode == 0, proc.stderr
