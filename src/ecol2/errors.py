@@ -38,7 +38,7 @@ class TrackingError(Ecol2Error):
 
 
 class LedgerError(Ecol2Error):
-    """Unreadable, corrupt, or lock-contended record store."""
+    """Unreadable, unwritable or corrupt record store."""
 
 
 class SolverError(Ecol2Error):

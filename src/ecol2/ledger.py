@@ -8,17 +8,22 @@ Layout under a root directory:
     <root>/Emissions/Inference/*.json
 
 One JSON document per record.  A stage whose directory is missing is
-disabled and aggregates to zero; writing into it creates it.  Writers are
-serialized by an flock on <root>/Emissions/.lock so concurrent processes
-cannot interleave half-written records.
+disabled and aggregates to zero; writing into it creates it.  A writer
+writes the whole record to a temporary `*.json.tmp` of its own, then
+publishes it under its final name with a hard link, which the filesystem
+refuses for a name that exists.  So concurrent writers, in one process or
+many, never end on one name, readers never see part of a record, and no
+writer waits on another.  The ledger must sit on a filesystem with hard
+links.
 """
 
 from __future__ import annotations
 
-import fcntl
+import contextlib
 import json
 import math
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -33,48 +38,8 @@ STAGE_DIRS = {
     "inference": "Inference",
 }
 
-_LOCK_TIMEOUT_S = 5.0
-_LOCK_RETRY_S = 0.01
-
 # bytes per os.read of a record file; a record is a few hundred bytes
 _READ_CHUNK = 1 << 16
-
-
-class _WriterLock:
-    """flock on a lock file that stays in place between writers.
-
-    The kernel drops the lock when its holder closes the file or dies, so
-    a lock file left behind by a killed writer blocks nobody.
-    """
-
-    def __init__(self, path: Path):
-        self._path = path
-        self._fd = None
-
-    def __enter__(self):
-        fd = os.open(self._path, os.O_CREAT | os.O_WRONLY, 0o644)
-        deadline = time.monotonic() + _LOCK_TIMEOUT_S
-        try:
-            while True:
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    break
-                except BlockingIOError:
-                    if time.monotonic() >= deadline:
-                        raise LedgerError(
-                            f"store is locked by another writer ({self._path})"
-                        ) from None
-                    time.sleep(_LOCK_RETRY_S)
-        except BaseException:
-            os.close(fd)
-            raise
-        self._fd = fd
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self._fd)
-        self._fd = None
-        return False
 
 
 def _read_bytes(path: str) -> bytes:
@@ -112,23 +77,37 @@ class LedgerStore:
             raise ValidationError(f"stage must be one of {STAGES}, got {stage!r}")
         return self.emissions_dir / STAGE_DIRS[stage]
 
-    def record(self, emission: EmissionRecord) -> Path:
-        """Persist one record; returns the file written."""
-        stage_dir = self.stage_dir(emission.stage)
-        stage_dir.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(emission.to_dict(), sort_keys=True, indent=1)
-        with _WriterLock(self.emissions_dir / ".lock"):
-            millis = int(time.time() * 1000)
-            base = f"{millis}-{_slug(emission.label)}"
-            path = stage_dir / f"{base}.json"
-            suffix = 0
-            while path.exists():
-                suffix += 1
-                path = stage_dir / f"{base}-{suffix}.json"
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(payload + "\n", encoding="utf-8")
-            os.replace(tmp, path)
-        return path
+    def record(self, emission: EmissionRecord) -> str:
+        """Persist one record; returns the path of the file written.
+
+        Names are `<millis>-<slug>[-N].json`, N counting up past the names
+        other writers took first.  Paths are plain strings: pathlib would
+        intern every new file name for the life of the process.
+        """
+        prefix = os.path.join(self.stage_dir(emission.stage), "")
+        payload = json.dumps(emission.to_dict(), sort_keys=True, indent=1) + "\n"
+        base = f"{prefix}{int(time.time() * 1000)}-{_slug(emission.label)}"
+        # unique to this process and thread, so no other writer touches it
+        tmp = f"{base}.{os.getpid()}-{threading.get_ident()}.json.tmp"
+        try:
+            os.makedirs(prefix, exist_ok=True)
+            try:
+                with open(tmp, "w", encoding="utf-8") as out:
+                    out.write(payload)
+                path = f"{base}.json"
+                suffix = 0
+                while True:
+                    try:
+                        os.link(tmp, path)
+                        return path
+                    except FileExistsError:
+                        suffix += 1
+                        path = f"{base}-{suffix}.json"
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+        except OSError as err:
+            raise LedgerError(f"cannot write a record to ledger {self.root}: {err}") from err
 
     def read_stage(self, stage: str) -> list[EmissionRecord]:
         """All records of one stage, in filename order; none if never written.

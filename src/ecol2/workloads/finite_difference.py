@@ -53,7 +53,7 @@ def _solve_advection(grid):
     if not grid.periodic:
         raise ValidationError("advection grid must be periodic")
     dx = grid.dx
-    nsub, dt = substeps(grid.dt_out, dx / ADVECTION_SPEED * _CFL_SAFETY, None)
+    nsub, dt = substeps(grid.dt_out, dx / ADVECTION_SPEED * _CFL_SAFETY)
     nu = ADVECTION_SPEED * dt / dx
     values = np.empty((grid.nt, grid.nx))
     values[0] = np.sin(grid.x)
@@ -69,7 +69,7 @@ def _solve_wave(grid):
         raise ValidationError("wave grid must include both endpoints")
     c = math.sqrt(WAVE_SPEED_SQ)
     dx = grid.dx
-    nsub, dt = substeps(grid.dt_out, dx / c * _CFL_SAFETY, None)
+    nsub, dt = substeps(grid.dt_out, dx / c * _CFL_SAFETY)
     courant = c * dt / dx
     s2 = courant * courant
     x = grid.x
@@ -93,9 +93,7 @@ def _solve_wave(grid):
 
 
 def _solve_reaction(grid):
-    nsub, dt = substeps(
-        grid.dt_out, _REACTION_RATE_DT_MAX / REACTION_RATE * _CFL_SAFETY, None
-    )
+    nsub, dt = substeps(grid.dt_out, _REACTION_RATE_DT_MAX / REACTION_RATE * _CFL_SAFETY)
     x = grid.x
     values = np.empty((grid.nt, grid.nx))
     values[0] = np.exp(-((x - np.pi) ** 2) / (2.0 * (np.pi / 4.0) ** 2))

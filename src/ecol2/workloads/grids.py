@@ -88,18 +88,13 @@ class FieldSolution:
         return self.values[-1]
 
 
-def substeps(dt_out: float, dt_limit: float, dt_forced: float | None) -> tuple[int, float]:
+def substeps(dt_out: float, dt_max: float) -> tuple[int, float]:
     """Substeps per output interval and the resulting dt.
 
-    dt is the largest dt_out / nsub within dt_forced when given, else
-    within dt_limit, so that every output time is hit exactly.
+    dt is the largest dt_out / nsub within dt_max, so that every output
+    time is hit exactly.
     """
-    if dt_forced is not None:
-        if not 0 < dt_forced:
-            raise ValidationError(f"dt must be > 0, got {dt_forced}")
-        nsub = max(1, math.ceil(dt_out / dt_forced - 1e-12))
-    else:
-        nsub = max(1, math.ceil(dt_out / dt_limit - 1e-12))
+    nsub = max(1, math.ceil(dt_out / dt_max - 1e-12))
     return nsub, dt_out / nsub
 
 

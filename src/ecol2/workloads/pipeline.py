@@ -34,13 +34,13 @@ from ..tracking import (
 from ._backend import BACKEND
 from .analytic import analytic_advection, analytic_reaction, analytic_wave
 from .datasets import MODEL_MODES, InitialConditionSpec, generate_dataset, write_dataset
-from .finite_difference import fd_solve
+from .finite_difference import FD_PROBLEMS, fd_solve
 from .grids import default_grid
 # spectral_solve is unused here but stays importable under this module's
 # name: perfbench/tracer.py wraps pipeline.spectral_solve by name
-from .spectral import internal_modes, spectral_solve  # noqa: F401
+from .spectral import SPECTRAL_EQUATIONS, internal_modes, spectral_solve  # noqa: F401
 
-WORKLOADS = ("advection", "reaction", "wave", "kdv", "ks")
+WORKLOADS = FD_PROBLEMS + SPECTRAL_EQUATIONS
 
 _ANALYTIC_REFERENCES = {
     "advection": analytic_advection,

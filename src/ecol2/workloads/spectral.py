@@ -174,6 +174,8 @@ def spectral_solve_batch(
         modes = [internal_modes(grid, m) for m in modes]
         if len(modes) != count:
             raise ValidationError(f"{len(modes)} mode counts for {count} rows")
+    if dt is not None and not 0 < dt:
+        raise ValidationError(f"dt must be > 0, got {dt}")
 
     n_int = max(modes)
     resample = n_int != grid.nx
@@ -198,7 +200,7 @@ def spectral_solve_batch(
     for i, m in enumerate(modes):
         k_max = math.pi * m / grid.length
         dt_limit = dt_accuracy / (float(u_scale[i]) * k_max)
-        nsub_i, dt_i = substeps(grid.dt_out, dt_limit, dt)
+        nsub_i, dt_i = substeps(grid.dt_out, dt_limit if dt is None else dt)
         nsub.append(nsub_i)
         dt_sub.append(dt_i)
         e_half[i], e_full[i], weights = etdrk4_coefficients(
@@ -219,28 +221,30 @@ def spectral_solve_batch(
     values[:, 0] = u0s[kept]
     residue = np.zeros(count)
     t = grid.t
-    for j in range(1, grid.nt):
-        for rows, inc in steps:
-            if len(rows) == count:
-                v = kernels.spectral_evolve(v, e_half, e_full, phi, inc)
-            else:
-                v[rows] = kernels.spectral_evolve(
-                    v[rows], e_half[rows], e_full[rows], phi[:, rows], inc
+    # a blowing-up row overflows before the check below catches it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, grid.nt):
+            for rows, inc in steps:
+                if len(rows) == count:
+                    v = kernels.spectral_evolve(v, e_half, e_full, phi, inc)
+                else:
+                    v[rows] = kernels.spectral_evolve(
+                        v[rows], e_half[rows], e_full[rows], phi[:, rows], inc
+                    )
+            u_j, res_j = kernels.to_physical(v)
+            # a NaN or inf fails the comparison too
+            bad = ~(np.max(np.abs(u_j), axis=1) <= _BLOWUP_LIMIT)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise SolverError(
+                    f"{equation} solution blew up by t = {t[j]:.6g} "
+                    f"(dt = {dt_sub[i]:.4g}, internal nx = {modes[i]})",
+                    row=i,
                 )
-        u_j, res_j = kernels.to_physical(v)
-        # a NaN or inf fails the comparison too
-        bad = ~(np.max(np.abs(u_j), axis=1) <= _BLOWUP_LIMIT)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise SolverError(
-                f"{equation} solution blew up by t = {t[j]:.6g} "
-                f"(dt = {dt_sub[i]:.4g}, internal nx = {modes[i]})",
-                row=i,
-            )
-        np.maximum(residue, res_j, out=residue)
-        if kept:
-            u_kept = u_j[kept]
-            values[:, j] = fourier_resample(u_kept, grid.nx) if resample else u_kept
+            np.maximum(residue, res_j, out=residue)
+            if kept:
+                u_kept = u_j[kept]
+                values[:, j] = fourier_resample(u_kept, grid.nx) if resample else u_kept
 
     work = [(grid.nt - 1) * n * m for n, m in zip(nsub, modes)]
     out: list[FieldSolution | _FinalState] = [None] * count

@@ -294,7 +294,7 @@ class TestScore:
     def test_bad_inference_count_on_disk_is_runtime_failure(self, tmp_path, capsys):
         store = LedgerStore(tmp_path)
         store.record(make_record("inference", 1e-4, inference_count=1))
-        bad = store.record(make_record("inference", 1e-4, label="bad"))
+        bad = Path(store.record(make_record("inference", 1e-4, label="bad")))
         data = json.loads(bad.read_text())
         data["inference_count"] = -1
         bad.write_text(json.dumps(data))
@@ -819,6 +819,24 @@ class TestRegionsFile:
         assert out == ""
         assert not ledger.exists()
         assert not marker.exists()
+
+
+class TestUnwritableLedger:
+    @pytest.mark.parametrize("command", ("bench", "track"))
+    def test_regular_file_in_the_path_is_a_ledger_error(self, tmp_path, capsys, command):
+        # a regular file as a parent directory fails even for root
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = {
+            "bench": ["bench", "advection", "--region", "CH", "--ledger", str(blocker / "sub")],
+            "track": ["track", "--stage", "operational", "--region", "CH",
+                      "--ledger", str(blocker), "--", "true"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: cannot write a record to ledger ")
+        assert str(blocker) in err
+        assert out == ""
 
 
 class TestOutputFormats:

@@ -1,9 +1,16 @@
-"""Record persistence: layout, round-trips, locking, aggregation algebra."""
+"""Record persistence: layout, round-trips, concurrent writers, aggregation algebra."""
 
+import errno
 import fcntl
 import json
+import os
 import re
+import stat
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +25,8 @@ from ecol2 import (
     aggregate,
     summarize,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 STAGE_DIRS = {
     "embodied": "Embodied",
@@ -55,7 +64,7 @@ class TestLayout:
 
     def test_files_are_one_json_document_each(self, tmp_path):
         store = LedgerStore(tmp_path)
-        path = store.record(make_record("operational", 2e-3, label="final solve"))
+        path = Path(store.record(make_record("operational", 2e-3, label="final solve")))
         data = json.loads(path.read_text())
         assert data["stage"] == "operational"
         assert data["emissions_kg"] == 2e-3
@@ -63,7 +72,7 @@ class TestLayout:
 
     def test_collision_gets_numeric_suffix(self, tmp_path):
         store = LedgerStore(tmp_path)
-        names = {store.record(make_record("operational", 1e-5, label="same")).name
+        names = {Path(store.record(make_record("operational", 1e-5, label="same"))).name
                  for _ in range(3)}
         assert len(names) == 3  # millis may collide; suffixes keep names unique
 
@@ -106,14 +115,14 @@ class TestRoundTrip:
 
     def test_corrupt_file_named_in_error(self, tmp_path):
         store = LedgerStore(tmp_path)
-        path = store.record(make_record("operational", 1e-4))
+        path = Path(store.record(make_record("operational", 1e-4)))
         path.write_text("{not json")
         with pytest.raises(LedgerError, match=str(path.name)):
             store.read_stage("operational")
 
     def test_non_finite_value_named_in_error(self, tmp_path):
         store = LedgerStore(tmp_path)
-        path = store.record(make_record("operational", 1e-4))
+        path = Path(store.record(make_record("operational", 1e-4)))
         data = json.loads(path.read_text())
         data["emissions_kg"] = float("inf")
         path.write_text(json.dumps(data))
@@ -148,7 +157,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("count", (-1, 0, 2.5, True, "2"))
     def test_bad_inference_count_on_disk_named_in_error(self, tmp_path, count):
         store = LedgerStore(tmp_path)
-        path = store.record(make_record("inference", 1e-4))
+        path = Path(store.record(make_record("inference", 1e-4)))
         data = json.loads(path.read_text())
         data["inference_count"] = count
         path.write_text(json.dumps(data))
@@ -157,7 +166,7 @@ class TestRoundTrip:
 
     def test_stage_mismatch_detected(self, tmp_path):
         store = LedgerStore(tmp_path)
-        path = store.record(make_record("operational", 1e-4))
+        path = Path(store.record(make_record("operational", 1e-4)))
         data = json.loads(path.read_text())
         data["stage"] = "embodied"
         path.write_text(json.dumps(data))
@@ -173,7 +182,7 @@ class TestRoundTrip:
     ], ids=["json", "utf-8", "bom", "utf-16", "utf-16-le"])
     def test_undecodable_file_named_in_error(self, tmp_path, spoil):
         store = LedgerStore(tmp_path)
-        path = store.record(make_record("operational", 1e-4))
+        path = Path(store.record(make_record("operational", 1e-4)))
         spoilt = spoil(path.read_bytes())
         assert spoilt != path.read_bytes()
         path.write_bytes(spoilt)
@@ -182,14 +191,14 @@ class TestRoundTrip:
 
     def test_unreadable_entry_named_in_error(self, tmp_path):
         store = LedgerStore(tmp_path)
-        path = store.record(make_record("operational", 1e-4)).with_name("x.json")
+        path = Path(store.record(make_record("operational", 1e-4))).with_name("x.json")
         path.mkdir()
         with pytest.raises(LedgerError, match=re.escape(str(path))):
             store.read_stage("operational")
 
     def test_only_json_files_are_read(self, tmp_path):
         store = LedgerStore(tmp_path)
-        kept = [store.record(make_record("operational", 1e-4, label=f"r{i}")) for i in range(2)]
+        kept = [Path(store.record(make_record("operational", 1e-4, label=f"r{i}"))) for i in range(2)]
         stage_dir = kept[0].parent
         # what an interrupted writer leaves, and names no writer makes
         for name in ("1700000000000-x.json.tmp", "notes.txt", "upper.JSON", "json"):
@@ -202,7 +211,7 @@ class TestRoundTrip:
         rec = EmissionRecord(stage="operational", label="sampled", energy_kwh=1e-3,
                              duration_s=300.0, region="CH", emissions_kg=3.484e-5,
                              power_trace=trace)
-        path = store.record(rec)
+        path = Path(store.record(rec))
         assert path.stat().st_size > ledger._READ_CHUNK
         assert store.read_stage("operational") == [rec]
 
@@ -308,23 +317,96 @@ class TestLocking:
         assert not errors
         assert len(store.read_stage("operational")) == 16
 
-    def test_held_lock_times_out(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ledger, "_LOCK_TIMEOUT_S", 0.2)
-        store = LedgerStore(tmp_path)
-        store.record(make_record("operational", 1e-6))
-        # another open file description on the lock file, as another
-        # process's writer would hold
-        with open(tmp_path / "Emissions" / ".lock", "w") as held:
-            fcntl.flock(held, fcntl.LOCK_EX)
-            with pytest.raises(LedgerError, match="locked by another writer"):
-                store.record(make_record("operational", 1e-6))
-        assert len(store.read_stage("operational")) == 1
-
-    def test_leftover_lock_file_does_not_block(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ledger, "_LOCK_TIMEOUT_S", 0.2)
+    def test_leftover_lock_file_does_not_block(self, tmp_path):
         store = LedgerStore(tmp_path)
         store.record(make_record("operational", 1e-6))
         # what a writer killed mid-record under the old scheme left behind
         (tmp_path / "Emissions" / ".lock").write_text("12345")
         store.record(make_record("operational", 1e-6))
         assert len(store.read_stage("operational")) == 2
+
+    def test_processes_writing_one_label_all_land(self, tmp_path):
+        # each writer reports ready, then all start on one "go", so their
+        # names collide within the same milliseconds
+        script = (
+            "import sys\n"
+            "from conftest import make_record\n"
+            "from ecol2 import LedgerStore\n"
+            "store = LedgerStore(sys.argv[1])\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "for _ in range(int(sys.argv[2])):\n"
+            "    store.record(make_record('operational', 1e-6, label='same'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "tests")]))
+        writers, per_writer = 4, 150
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path), str(per_writer)],
+                                  env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True)
+                 for _ in range(writers)]
+        try:
+            for proc in procs:
+                assert proc.stdout.readline() == "ready\n", proc.stderr.read()
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+            for proc in procs:
+                _, err = proc.communicate(timeout=60)
+                assert proc.returncode == 0, err
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        stage_dir = LedgerStore(tmp_path).stage_dir("operational")
+        names = os.listdir(stage_dir)
+        assert len(names) == writers * per_writer
+        assert all(re.fullmatch(r"\d+-same(-\d+)?\.json", n) for n in names)
+        assert len(LedgerStore(tmp_path).read_stage("operational")) == writers * per_writer
+
+    def test_stale_tmp_and_held_lock_file_do_not_block(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        stage_dir = store.stage_dir("operational")
+        stage_dir.mkdir(parents=True)
+        # what an interrupted writer leaves, under this scheme and the old one
+        (stage_dir / "1700000000000-record.json.tmp").write_text("{half")
+        (stage_dir / "1700000000000-record.1-1.json.tmp").write_text("{half")
+        with open(tmp_path / "Emissions" / ".lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            start = time.monotonic()
+            store.record(make_record("operational", 1e-6))
+            assert time.monotonic() - start < 1.0
+        assert len(store.read_stage("operational")) == 1
+
+
+class TestRecordFiles:
+    def test_record_returns_a_str_not_interned(self, tmp_path):
+        path = LedgerStore(tmp_path).record(make_record("operational", 1e-6, label="fresh"))
+        # a new string equal to the name; pathlib would have interned the name
+        name = "".join(os.path.basename(path))
+        assert sys.intern(name) is name
+        assert isinstance(path, str)
+
+    def test_mode_is_that_of_a_plain_new_file(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        path = store.record(make_record("operational", 1e-6))
+        probe = store.stage_dir("operational") / "probe"
+        with open(probe, "w"):
+            pass
+        assert stat.S_IMODE(os.stat(path).st_mode) == stat.S_IMODE(probe.stat().st_mode)
+
+    def test_regular_file_in_the_path_is_a_ledger_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(LedgerError, match=re.escape(str(blocker))):
+            LedgerStore(blocker / "sub").record(make_record("operational", 1e-6))
+
+    def test_failed_link_is_a_ledger_error_and_leaves_nothing(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(errno.EPERM, "Operation not permitted", dst)
+
+        monkeypatch.setattr(ledger.os, "link", refuse)
+        store = LedgerStore(tmp_path)
+        with pytest.raises(LedgerError, match=re.escape(str(tmp_path))):
+            store.record(make_record("operational", 1e-6))
+        assert os.listdir(store.stage_dir("operational")) == []

@@ -4,8 +4,8 @@ perfbench/tracer.py replaces module globals such as
 `pipeline.spectral_solve` and `spectral.fourier_resample` by name, so a
 renamed or dropped global breaks `perfbench/run.py --trace 1` without
 failing any test of the package itself.  A traced ledger-history op also
-pins its read counts, so a faster read path shows as less time per
-record, not as fewer reads.
+pins its read and write counts, so a faster read or write path shows as
+less time per record, not as fewer records.
 """
 
 import os
@@ -49,6 +49,10 @@ assert t["ledger.aggregate.calls"] == 1, t["ledger.aggregate.calls"]
 assert t["ledger.read_stage.calls"] == 8, t["ledger.read_stage.calls"]
 assert t["ledger.records_read"] == 2000, t["ledger.records_read"]
 assert t["regions.what_if_region.calls"] == 6000, t["regions.what_if_region.calls"]
+# the byte count is taken from the path that LedgerStore.record returns
+written = sum(p.stat().st_size for p in (scratch / "ingest0").glob("Emissions/*/*.json"))
+assert t["ledger.record.calls"] == 25, t["ledger.record.calls"]
+assert t["ledger.record.bytes"] == written > 0, (t["ledger.record.bytes"], written)
 """
 
 

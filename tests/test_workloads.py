@@ -384,6 +384,8 @@ class TestSpectralBatch:
         for b, u0 in zip(batch, u0s):
             assert_same_solution(b, spectral_solve("ks", u0, grid, dt=0.01, internal_nx=128))
 
+    # the blow-up is reported by the SolverError alone, not by numpy warnings
+    @pytest.mark.filterwarnings("error")
     def test_blow_up_names_lowest_row_at_first_failing_time(self):
         # alone, amplitude 5 blows up by t = 4, amplitudes 10 and 15 by t = 2
         grid = Grid1D(length=64.0, nx=64, nt=11, t_final=10.0)
