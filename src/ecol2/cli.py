@@ -256,6 +256,8 @@ def cmd_track(args) -> int:
     registry = _registry(args)
     power = PowerModel.parse(args.power)
     store = LedgerStore(args.ledger)
+    # fails here, before the child runs, if the record could not be kept
+    store.make_stage_dir(stage)
     session = start_session(
         stage, power, region,
         label=args.label or Path(child[0]).name,
@@ -359,10 +361,13 @@ def cmd_bench(args) -> int:
         sweep_params = [replace(params, alpha=alpha) for alpha in alphas]
     power = PowerModel.parse(args.power)
     store = LedgerStore(args.ledger)
-    # a second run's records would merge into the first's in every later score
-    if (store.root / RUN_FILE).exists():
+    # a second run's records would merge into the first's in every later
+    # score, and so would what an interrupted run left
+    held = [p for p in (store.root / RUN_FILE, store.root / "dataset") if p.exists()]
+    held += sorted(store.emissions_dir.glob("*/*.json"))
+    if held:
         raise ValidationError(
-            f"{store.root / RUN_FILE} already holds a bench run; use a fresh --ledger"
+            f"ledger {store.root} already holds {held[0]}; use a fresh --ledger"
         )
     result = run_pipeline(
         args.workload,

@@ -70,7 +70,8 @@ def import_emissions_csv(
     to compute them from, or both.  Emissions-only rows get region
     "unknown".  When both routes are present and disagree by more than 5%
     the stated value is kept and a warning is issued.  Row numbers in
-    errors count data rows from 1.
+    errors count data rows from 1.  A file that cannot be read or decoded,
+    or that is malformed CSV, raises IngestError naming it.
     """
     path = Path(path)
     if stage not in STAGES:
@@ -85,18 +86,25 @@ def import_emissions_csv(
                 f"expected a subset of {sorted(DEFAULT_COLUMNS)}"
             )
         columns.update(column_map)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if column_map:
-            missing = [c for c in column_map.values() if c not in header]
-            if missing:
-                raise IngestError(f"{path}: mapped columns {missing} not in header")
-        records = []
-        for row_no, row in enumerate(reader, start=1):
-            records.append(
-                _row_to_record(row, row_no, stage, columns, registry, path)
-            )
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            if column_map:
+                missing = [c for c in column_map.values() if c not in header]
+                if missing:
+                    raise IngestError(f"{path}: mapped columns {missing} not in header")
+            records = []
+            for row_no, row in enumerate(reader, start=1):
+                records.append(
+                    _row_to_record(row, row_no, stage, columns, registry, path)
+                )
+    except (OSError, UnicodeDecodeError) as err:
+        raise IngestError(f"{path}: {err}") from err
+    except csv.Error as err:
+        # the csv reader's own line_num counts the failing line too, which
+        # DictReader's does not; both count the header's
+        raise IngestError(f"{path}, line {reader.reader.line_num}: {err}") from err
     return records
 
 

@@ -77,6 +77,20 @@ class LedgerStore:
             raise ValidationError(f"stage must be one of {STAGES}, got {stage!r}")
         return self.emissions_dir / STAGE_DIRS[stage]
 
+    def _write_error(self, err: OSError) -> LedgerError:
+        return LedgerError(f"cannot write a record to ledger {self.root}: {err}")
+
+    def make_stage_dir(self, stage: str) -> str:
+        """Create a stage's directory if missing; returns it as a str prefix
+        ending in a separator.  Raises LedgerError if the ledger cannot
+        take records."""
+        prefix = os.path.join(self.stage_dir(stage), "")
+        try:
+            os.makedirs(prefix, exist_ok=True)
+        except OSError as err:
+            raise self._write_error(err) from err
+        return prefix
+
     def record(self, emission: EmissionRecord) -> str:
         """Persist one record; returns the path of the file written.
 
@@ -84,13 +98,12 @@ class LedgerStore:
         other writers took first.  Paths are plain strings: pathlib would
         intern every new file name for the life of the process.
         """
-        prefix = os.path.join(self.stage_dir(emission.stage), "")
+        prefix = self.make_stage_dir(emission.stage)
         payload = json.dumps(emission.to_dict(), sort_keys=True, indent=1) + "\n"
         base = f"{prefix}{int(time.time() * 1000)}-{_slug(emission.label)}"
         # unique to this process and thread, so no other writer touches it
         tmp = f"{base}.{os.getpid()}-{threading.get_ident()}.json.tmp"
         try:
-            os.makedirs(prefix, exist_ok=True)
             try:
                 with open(tmp, "w", encoding="utf-8") as out:
                     out.write(payload)
@@ -107,7 +120,7 @@ class LedgerStore:
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(tmp)
         except OSError as err:
-            raise LedgerError(f"cannot write a record to ledger {self.root}: {err}") from err
+            raise self._write_error(err) from err
 
     def read_stage(self, stage: str) -> list[EmissionRecord]:
         """All records of one stage, in filename order; none if never written.

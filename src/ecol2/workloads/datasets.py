@@ -29,8 +29,6 @@ N_TERMS = 5
 # blow up
 MODEL_MODES = 128
 
-_Pairs = list[tuple[np.ndarray, np.ndarray]]
-
 
 @dataclass(frozen=True)
 class InitialConditionSpec:
@@ -113,14 +111,14 @@ def generate_dataset(
     base_spec: InitialConditionSpec,
     seed: int,
     grid: Grid1D,
-) -> tuple[_Pairs, list[int], FieldSolution, FieldSolution]:
-    """(u0, u(T)) pairs from perturbed copies of the base spec.
+) -> tuple[list[FieldSolution], FieldSolution, FieldSolution]:
+    """Solutions of perturbed copies of the base spec.
 
     Deterministic given the seed.  The base spec's own field rides in the
     samples' batch twice: at MODEL_MODES as the model, then at the default
-    mode count as the reference, the last row.  Returns the pairs, the
-    work points of each sample, the reference and the model.  A blow-up
-    names the failing sample, the model or the reference, and aborts.
+    mode count as the reference, the last row.  Returns the samples, the
+    reference and the model.  A blow-up names the failing sample, the
+    model or the reference, and aborts.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
@@ -135,7 +133,6 @@ def generate_dataset(
         solutions = spectral_solve_batch(
             equation, np.stack(rows + [base, base]), grid,
             modes=[default] * count + [MODEL_MODES, default],
-            trajectories=[count, count + 1],
         )
     except SolverError as err:
         if err.row == count + 1:
@@ -143,19 +140,16 @@ def generate_dataset(
         if err.row == count:
             raise SolverError(f"model solve failed: {err}") from err
         raise SolverError(f"dataset sample {err.row} failed: {err}") from err
-    samples = solutions[:count]
-    pairs = [(u0, sol.final_state) for u0, sol in zip(rows, samples)]
-    return (pairs, [sol.work_points for sol in samples],
-            solutions[count + 1], solutions[count])
+    return solutions[:count], solutions[count + 1], solutions[count]
 
 
-def write_dataset(out_dir: Path, equation, seed, base_spec, grid, pairs) -> None:
-    """header.json + u0.csv + uT.csv, rows = samples, full precision."""
+def write_dataset(out_dir: Path, equation, seed, base_spec, grid, samples) -> None:
+    """header.json + u0.csv + uT.csv, rows = samples' u0 and u(T), full precision."""
     out_dir.mkdir(parents=True, exist_ok=True)
     header = {
         "equation": equation,
         "seed": seed,
-        "count": len(pairs),
+        "count": len(samples),
         "grid": {
             "length": grid.length,
             "nx": grid.nx,
@@ -168,7 +162,7 @@ def write_dataset(out_dir: Path, equation, seed, base_spec, grid, pairs) -> None
     (out_dir / "header.json").write_text(
         json.dumps(header, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
-    u0 = np.stack([p[0] for p in pairs])
-    uT = np.stack([p[1] for p in pairs])
+    u0 = np.stack([s.values[0] for s in samples])
+    uT = np.stack([s.final_state for s in samples])
     np.savetxt(out_dir / "u0.csv", u0, delimiter=",", fmt="%.17g")
     np.savetxt(out_dir / "uT.csv", uT, delimiter=",", fmt="%.17g")

@@ -114,14 +114,14 @@ def run_pipeline(
         # dataset stage is charged the samples' work, and each stage below
         # the work of the row it uses
         with stage("embodied", "dataset"):
-            pairs, sample_points, reference, model = generate_dataset(
+            samples, reference, model = generate_dataset(
                 workload, DEFAULT_DATASET_COUNT, base_spec, seed, grid
             )
-            for points in sample_points:
-                charge_work(clock, points)
+            for sample in samples:
+                charge_work(clock, sample.work_points)
         # written after the stage closes, so the file writes are not charged
         if store is not None:
-            write_dataset(store.root / "dataset", workload, seed, base_spec, grid, pairs)
+            write_dataset(store.root / "dataset", workload, seed, base_spec, grid, samples)
         with stage("embodied", "reference-solve"):
             charge_work(clock, reference.work_points)
         # development tries the model's basis and the reference's

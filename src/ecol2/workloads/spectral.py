@@ -18,7 +18,6 @@ restricted/extended to the grid by spectral resampling.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,14 +113,6 @@ def spectral_solve(
     return solution
 
 
-class _FinalState(NamedTuple):
-    """What a batched solve returns for a row whose trajectory is not kept."""
-
-    final_state: np.ndarray
-    work_points: int
-    max_imag_residue: float
-
-
 def spectral_solve_batch(
     equation: str,
     u0s,
@@ -129,8 +120,7 @@ def spectral_solve_batch(
     *,
     dt: float | None = None,
     modes=None,
-    trajectories=None,
-) -> list[FieldSolution | _FinalState]:
+) -> list[FieldSolution]:
     """Evolve each row of a (count, nx) stack; one result per row.
 
     modes gives each row its own mode count, a power of two >= 16 (None:
@@ -148,11 +138,6 @@ def spectral_solve_batch(
     smallest substep count, then the rows still running by the next
     increment, and so on.  Blow-up raises SolverError whose `row` is the
     lowest-index row that blew up at the first failing output time.
-
-    trajectories names the rows whose full (nt, nx) trajectory is kept
-    and returned as a FieldSolution (None: every row).  Every other row
-    holds only its current level and returns a _FinalState with u(T),
-    resampled to the grid once, at the last level.
     """
     if equation not in SPECTRAL_EQUATIONS:
         raise ValidationError(
@@ -216,9 +201,8 @@ def spectral_solve_batch(
         steps.append(([i for i, n in enumerate(nsub) if n >= level], level - done))
         done = level
 
-    kept = list(range(count) if trajectories is None else trajectories)
-    values = np.empty((len(kept), grid.nt, grid.nx))
-    values[:, 0] = u0s[kept]
+    values = np.empty((count, grid.nt, grid.nx))
+    values[:, 0] = u0s
     residue = np.zeros(count)
     t = grid.t
     # a blowing-up row overflows before the check below catches it
@@ -242,21 +226,12 @@ def spectral_solve_batch(
                     row=i,
                 )
             np.maximum(residue, res_j, out=residue)
-            if kept:
-                u_kept = u_j[kept]
-                values[:, j] = fourier_resample(u_kept, grid.nx) if resample else u_kept
+            values[:, j] = fourier_resample(u_j, grid.nx) if resample else u_j
 
-    work = [(grid.nt - 1) * n * m for n, m in zip(nsub, modes)]
-    out: list[FieldSolution | _FinalState] = [None] * count
-    for slot, i in enumerate(kept):
-        out[i] = FieldSolution(
-            grid, values[slot], work_points=work[i],
+    return [
+        FieldSolution(
+            grid, values[i], work_points=(grid.nt - 1) * nsub[i] * modes[i],
             max_imag_residue=float(residue[i]),
         )
-    rest = [i for i in range(count) if out[i] is None]
-    if rest:
-        u_rest = u_j[rest]
-        finals = fourier_resample(u_rest, grid.nx) if resample else u_rest
-        for final, i in zip(finals, rest):
-            out[i] = _FinalState(final, work[i], float(residue[i]))
-    return out
+        for i in range(count)
+    ]

@@ -453,6 +453,33 @@ class TestBench:
         assert row["c_total"] == pytest.approx(first["c_total"], rel=1e-12)
         assert row["ecol2"] == pytest.approx(first["ecol2"], rel=1e-12)
 
+    @pytest.mark.parametrize("left", ("record", "dataset"))
+    def test_interrupted_bench_output_in_a_ledger_is_refused(self, tmp_path, capsys, left):
+        # an interrupted bench leaves stage records, or its dataset, but no
+        # run file; a rerun's records would be summed with them
+        if left == "record":
+            held = LedgerStore(tmp_path).record(
+                make_record("embodied", 1e-7, label="dataset"))
+        else:
+            held = tmp_path / "dataset"
+            held.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run_cli(
+            capsys, "bench", "advection", "--region", "CH", "--ledger", str(tmp_path)
+        )
+        assert code == 1
+        assert str(held) in err
+        assert out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_unpublished_record_does_not_block_bench(self, tmp_path, capsys):
+        # readers skip a writer's *.json.tmp, and so does the check
+        stage_dir = LedgerStore(tmp_path).stage_dir("embodied")
+        stage_dir.mkdir(parents=True)
+        (stage_dir / "1-dataset.1-2.json.tmp").write_text("{")
+        rows, _ = self.bench(capsys, tmp_path, "advection")
+        assert rows[0]["workload"] == "advection"
+
     def test_unknown_workload_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "bench", "burgers", "--region", "CH", "--ledger", str(tmp_path)
@@ -827,16 +854,21 @@ class TestUnwritableLedger:
         # a regular file as a parent directory fails even for root
         blocker = tmp_path / "file"
         blocker.write_text("")
+        # track checks the ledger before its child runs, whose record would
+        # otherwise be lost after all its work
+        marker = tmp_path / "child-ran"
         argv = {
             "bench": ["bench", "advection", "--region", "CH", "--ledger", str(blocker / "sub")],
             "track": ["track", "--stage", "operational", "--region", "CH",
-                      "--ledger", str(blocker), "--", "true"],
+                      "--ledger", str(blocker), "--", sys.executable, "-c",
+                      f"open({str(marker)!r}, 'w').close()"],
         }[command]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error: cannot write a record to ledger ")
         assert str(blocker) in err
         assert out == ""
+        assert not marker.exists()
 
 
 class TestOutputFormats:

@@ -1,5 +1,6 @@
 """External CSV adapters: emission logs and prediction/reference fields."""
 
+import csv
 import warnings
 
 import numpy as np
@@ -128,6 +129,23 @@ class TestEmissionsImport:
         (rec,) = import_emissions_csv(path, "operational")
         clone = type(rec).from_dict(rec.to_dict())
         assert clone == rec
+
+
+    def test_missing_file_names_the_file(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(IngestError, match=r"absent\.csv: "):
+            import_emissions_csv(path, "operational")
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(HEADER.encode() + b"1e-3,,,\n\xff,,,\n")
+        with pytest.raises(IngestError, match=r"log\.csv: .*can't decode byte 0xff"):
+            import_emissions_csv(path, "operational")
+
+    def test_oversized_field_names_the_file_and_line(self, tmp_path):
+        path = write_csv(tmp_path, "1e-3,,,\n" + "9" * (csv.field_size_limit() + 1) + ",,,\n")
+        with pytest.raises(IngestError, match=r"log\.csv, line 3: field larger than"):
+            import_emissions_csv(path, "operational")
 
 
 class TestFieldImport:

@@ -512,27 +512,27 @@ class TestDatasets:
         base = InitialConditionSpec(amplitudes=(0.3, 0.2), frequencies=(1, 2),
                                     phases=(0.0, 1.0), eps_amplitude=0.0,
                                     eps_phase=0.0, seed=0)
-        pairs, _, _, _ = generate_dataset("ks", 1, base, 5, grid)
+        samples, _, _ = generate_dataset("ks", 1, base, 5, grid)
         u0 = generate_initial_condition(base, grid)
         ref = spectral_solve("ks", u0, grid)
-        np.testing.assert_array_equal(pairs[0][0], u0)
-        np.testing.assert_array_equal(pairs[0][1], ref.values[-1])
+        np.testing.assert_array_equal(samples[0].values[0], u0)
+        np.testing.assert_array_equal(samples[0].final_state, ref.values[-1])
 
     def test_same_seed_bit_identical(self):
         grid = self.make_grid()
         base = InitialConditionSpec.sample(4)
-        a, _, _, _ = generate_dataset("ks", 3, base, 11, grid)
-        b, _, _, _ = generate_dataset("ks", 3, base, 11, grid)
-        for (u0a, uta), (u0b, utb) in zip(a, b):
-            np.testing.assert_array_equal(u0a, u0b)
-            np.testing.assert_array_equal(uta, utb)
+        a, _, _ = generate_dataset("ks", 3, base, 11, grid)
+        b, _, _ = generate_dataset("ks", 3, base, 11, grid)
+        for sa, sb in zip(a, b):
+            np.testing.assert_array_equal(sa.values[0], sb.values[0])
+            np.testing.assert_array_equal(sa.final_state, sb.final_state)
 
     def test_different_seed_differs(self):
         grid = self.make_grid()
         base = InitialConditionSpec.sample(4)
-        a, _, _, _ = generate_dataset("ks", 1, base, 11, grid)
-        b, _, _, _ = generate_dataset("ks", 1, base, 12, grid)
-        assert not np.array_equal(a[0][0], b[0][0])
+        a, _, _ = generate_dataset("ks", 1, base, 11, grid)
+        b, _, _ = generate_dataset("ks", 1, base, 12, grid)
+        assert not np.array_equal(a[0].values[0], b[0].values[0])
 
     def test_embodied_record_is_power_times_time(self):
         res = run_pipeline("ks", power=PowerModel.fixed(50.0), region="CH", seed=4)
@@ -547,17 +547,17 @@ class TestDatasets:
     def test_dataset_files_round_trip_full_precision(self, tmp_path):
         grid = self.make_grid()
         base = InitialConditionSpec.sample(4)
-        pairs, _, _, _ = generate_dataset("ks", 2, base, 11, grid)
-        write_dataset(tmp_path / "ds", "ks", 11, base, grid, pairs)
+        samples, _, _ = generate_dataset("ks", 2, base, 11, grid)
+        write_dataset(tmp_path / "ds", "ks", 11, base, grid, samples)
         header = json.loads((tmp_path / "ds" / "header.json").read_text())
         assert header["equation"] == "ks"
         assert header["count"] == 2
         assert header["seed"] == 11
         u0 = np.loadtxt(tmp_path / "ds" / "u0.csv", delimiter=",", ndmin=2)
         ut = np.loadtxt(tmp_path / "ds" / "uT.csv", delimiter=",", ndmin=2)
-        for i, (u0_i, ut_i) in enumerate(pairs):
-            np.testing.assert_array_equal(u0[i], u0_i)
-            np.testing.assert_array_equal(ut[i], ut_i)
+        for i, sample in enumerate(samples):
+            np.testing.assert_array_equal(u0[i], sample.values[0])
+            np.testing.assert_array_equal(ut[i], sample.final_state)
 
     def test_blow_up_names_the_sample(self, monkeypatch):
         def sample_fails(equation, u0s, grid, **kwargs):
@@ -571,21 +571,21 @@ class TestDatasets:
             generate_dataset("kdv", 2, calm, 7, grid)
 
     def test_reference_row_leaves_samples_unchanged(self):
-        # kdv stores 100 points and solves on 256 modes, so both the kept
-        # trajectory and the final-state-only rows are resampled
+        # kdv stores 100 points and solves on 256 modes, so every row's
+        # trajectory is resampled
         grid = replace(default_grid("kdv"), nt=11, t_final=1.0)
         base = InitialConditionSpec.sample(4)
-        pairs, points, reference, _ = generate_dataset("kdv", 3, base, 11, grid)
+        samples, reference, _ = generate_dataset("kdv", 3, base, 11, grid)
         rng = np.random.default_rng(11)
-        assert len(pairs) == len(points) == 3
-        # each sample is what a one-row solve gives, and is charged only its
-        # own work; the reference row adds neither a pair nor a charge
-        for (u0, uT), p in zip(pairs, points):
+        assert len(samples) == 3
+        # each sample is what a one-row solve gives, trajectory and work bit
+        # for bit; the reference row adds neither a sample nor a charge
+        for sample in samples:
             alone_u0 = generate_initial_condition(base.perturbed(rng), grid)
             alone = spectral_solve("kdv", alone_u0, grid)
-            assert u0.tobytes() == alone_u0.tobytes()
-            assert uT.tobytes() == alone.values[-1].tobytes()
-            assert p == alone.work_points
+            assert sample.values[0].tobytes() == alone_u0.tobytes()
+            assert sample.final_state.tobytes() == alone.values[-1].tobytes()
+            assert_same_solution(sample, alone)
         u0 = generate_initial_condition(base, grid)
         assert_same_solution(reference, spectral_solve("kdv", u0, grid))
 
@@ -657,7 +657,7 @@ class TestPipeline:
         batches, solves = [], []
 
         def count_batch(equation, u0s, grid, **kwargs):
-            batches.append((len(u0s), kwargs["modes"], list(kwargs["trajectories"])))
+            batches.append((len(u0s), kwargs["modes"]))
             return spectral_solve_batch(equation, u0s, grid, **kwargs)
 
         def count_solve(equation, u0, grid, **kwargs):
@@ -668,9 +668,8 @@ class TestPipeline:
         monkeypatch.setattr(pipeline_module, "spectral_solve", count_solve)
         run_pipeline("kdv", power=PowerModel.fixed(50.0), region="CH", seed=2)
         # the 4 dataset samples, the 128-mode model as row 4 and the reference
-        # as row 5, the only rows whose trajectories are kept; every later
-        # stage uses one of those two
-        assert batches == [(6, [256] * 4 + [128, 256], [4, 5])]
+        # as row 5; every later stage uses one of those two
+        assert batches == [(6, [256] * 4 + [128, 256])]
         assert solves == []
 
     @pytest.mark.parametrize("workload", ("kdv", "ks"))
