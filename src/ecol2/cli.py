@@ -32,7 +32,7 @@ from .tracking import (
     stop_session,
     what_if_region,
 )
-from .workloads import WORKLOADS, run_pipeline
+from .workloads import BACKEND, WORKLOADS, run_pipeline
 
 DEFAULT_POWER = "fixed:50"
 
@@ -329,9 +329,9 @@ def cmd_score(args) -> int:
 
 def _bench_row(result, args, params) -> dict:
     return {
-        "workload": result.workload,
-        "seed": result.seed,
-        "backend": result.backend,
+        "workload": args.workload,
+        "seed": args.seed,
+        "backend": BACKEND,
         "region": args.region,
         "alpha": params.alpha,
         "beta": params.beta,
@@ -369,6 +369,9 @@ def cmd_bench(args) -> int:
         raise ValidationError(
             f"ledger {store.root} already holds {held[0]}; use a fresh --ledger"
         )
+    # refuse an unwritable ledger before the first solve; every workload
+    # records a developmental stage, so this adds no directory
+    store.make_stage_dir("developmental")
     result = run_pipeline(
         args.workload,
         power,

@@ -96,7 +96,6 @@ class ErrorReport:
     rmse: float
     max_error: float
     mae: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -194,5 +193,4 @@ def error_metrics(prediction, reference) -> ErrorReport:
         rmse=diff_norm / math.sqrt(n),
         max_error=float(np.max(np.abs(diff))),
         mae=float(np.mean(np.abs(diff))),
-        n_points=n,
     )

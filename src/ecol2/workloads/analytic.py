@@ -12,7 +12,7 @@ def analytic_advection(grid: Grid1D) -> FieldSolution:
     x = grid.x[None, :]
     t = grid.t[:, None]
     values = np.sin(x - ADVECTION_SPEED * t)
-    return FieldSolution(grid, values, work_points=grid.nt * grid.nx)
+    return FieldSolution(grid, values)
 
 
 def analytic_reaction(grid: Grid1D) -> FieldSolution:
@@ -26,7 +26,7 @@ def analytic_reaction(grid: Grid1D) -> FieldSolution:
     h = np.exp(-((x - np.pi) ** 2) / (2.0 * (np.pi / 4.0) ** 2))
     grown = h * np.exp(REACTION_RATE * t)
     values = grown / (grown + 1.0 - h)
-    return FieldSolution(grid, values, work_points=grid.nt * grid.nx)
+    return FieldSolution(grid, values)
 
 
 def analytic_wave(grid: Grid1D) -> FieldSolution:
@@ -40,4 +40,4 @@ def analytic_wave(grid: Grid1D) -> FieldSolution:
     values = np.sin(np.pi * x) * np.cos(c * np.pi * t) + 0.5 * np.sin(
         3.0 * np.pi * x
     ) * np.cos(3.0 * c * np.pi * t)
-    return FieldSolution(grid, values, work_points=grid.nt * grid.nx)
+    return FieldSolution(grid, values)

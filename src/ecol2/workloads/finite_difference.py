@@ -61,7 +61,7 @@ def _solve_advection(grid):
     for j in range(1, grid.nt):
         u = kernels.advection_lax_wendroff(u, nu, nsub)
         values[j] = u
-    return FieldSolution(grid, values, work_points=(grid.nt - 1) * nsub * grid.nx)
+    return FieldSolution(grid, values, nsub=nsub, points=grid.nx)
 
 
 def _solve_wave(grid):
@@ -89,7 +89,7 @@ def _solve_wave(grid):
             u_prev, u_curr = kernels.wave_leapfrog(u_prev, u_curr, s2, need)
             done += need
         values[j] = u_curr
-    return FieldSolution(grid, values, work_points=(grid.nt - 1) * nsub * grid.nx)
+    return FieldSolution(grid, values, nsub=nsub, points=grid.nx)
 
 
 def _solve_reaction(grid):
@@ -101,4 +101,4 @@ def _solve_reaction(grid):
     for j in range(1, grid.nt):
         u = kernels.reaction_rk4(u, REACTION_RATE, dt, nsub)
         values[j] = u
-    return FieldSolution(grid, values, work_points=(grid.nt - 1) * nsub * grid.nx)
+    return FieldSolution(grid, values, nsub=nsub, points=grid.nx)

@@ -62,14 +62,16 @@ class Grid1D:
 class FieldSolution:
     """A solved field on a grid; values has shape (grid.nt, grid.nx).
 
-    work_points counts grid-point updates performed to produce the field
-    (drives deterministic cost accounting); max_imag_residue is the
-    largest imaginary component discarded by a spectral solve.
+    A stepped solve records nsub, its substeps per output interval, and
+    points, the points each substep updates; a closed form records
+    neither.  max_imag_residue is the largest imaginary component
+    discarded by a spectral solve.
     """
 
     grid: Grid1D
     values: np.ndarray
-    work_points: int = 0
+    nsub: int = 0
+    points: int = 0
     max_imag_residue: float = 0.0
 
     def __post_init__(self):
@@ -86,6 +88,11 @@ class FieldSolution:
     @property
     def final_state(self) -> np.ndarray:
         return self.values[-1]
+
+    @property
+    def work_points(self) -> int:
+        """Grid-point updates charged for the solve; the one charge rule."""
+        return (self.grid.nt - 1) * self.nsub * self.points
 
 
 def substeps(dt_out: float, dt_max: float) -> tuple[int, float]:

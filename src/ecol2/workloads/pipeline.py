@@ -31,14 +31,13 @@ from ..tracking import (
     start_session,
     stop_session,
 )
-from ._backend import BACKEND
 from .analytic import analytic_advection, analytic_reaction, analytic_wave
-from .datasets import MODEL_MODES, InitialConditionSpec, generate_dataset, write_dataset
+from .datasets import InitialConditionSpec, generate_dataset, write_dataset
 from .finite_difference import FD_PROBLEMS, fd_solve
 from .grids import default_grid
 # spectral_solve is unused here but stays importable under this module's
 # name: perfbench/tracer.py wraps pipeline.spectral_solve by name
-from .spectral import SPECTRAL_EQUATIONS, internal_modes, spectral_solve  # noqa: F401
+from .spectral import SPECTRAL_EQUATIONS, spectral_solve  # noqa: F401
 
 WORKLOADS = FD_PROBLEMS + SPECTRAL_EQUATIONS
 
@@ -59,9 +58,6 @@ class PipelineResult:
     carbon: CarbonLedger
     error: ErrorReport
     score: EcoL2Score
-    workload: str
-    seed: int
-    backend: str
     records: tuple[EmissionRecord, ...]
 
 
@@ -125,8 +121,8 @@ def run_pipeline(
         with stage("embodied", "reference-solve"):
             charge_work(clock, reference.work_points)
         # development tries the model's basis and the reference's
-        for modes, trial in ((MODEL_MODES, model), (internal_modes(grid), reference)):
-            with stage("developmental", f"trial-modes{modes}"):
+        for trial in (model, reference):
+            with stage("developmental", f"trial-modes{trial.points}"):
                 charge_work(clock, trial.work_points)
         with stage("operational", "final-solve"):
             charge_work(clock, model.work_points)
@@ -143,8 +139,5 @@ def run_pipeline(
         carbon=carbon,
         error=report,
         score=score,
-        workload=workload,
-        seed=seed,
-        backend=BACKEND,
         records=tuple(records),
     )

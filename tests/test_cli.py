@@ -849,16 +849,25 @@ class TestRegionsFile:
 
 
 class TestUnwritableLedger:
-    @pytest.mark.parametrize("command", ("bench", "track"))
-    def test_regular_file_in_the_path_is_a_ledger_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, workload", (
+        pytest.param("bench", "advection", id="bench"),
+        pytest.param("bench", "kdv", id="bench-kdv"),
+        pytest.param("track", None, id="track"),
+    ))
+    def test_regular_file_in_the_path_is_a_ledger_error(
+            self, tmp_path, capsys, monkeypatch, command, workload):
         # a regular file as a parent directory fails even for root
         blocker = tmp_path / "file"
         blocker.write_text("")
-        # track checks the ledger before its child runs, whose record would
-        # otherwise be lost after all its work
+        # both commands check the ledger before the work whose records
+        # would otherwise be lost: track before its child runs, bench
+        # before its first solve
         marker = tmp_path / "child-ran"
+        for name in ("fd_solve", "generate_dataset"):
+            monkeypatch.setattr(f"ecol2.workloads.pipeline.{name}",
+                                lambda *a, **k: pytest.fail("solved"))
         argv = {
-            "bench": ["bench", "advection", "--region", "CH", "--ledger", str(blocker / "sub")],
+            "bench": ["bench", workload, "--region", "CH", "--ledger", str(blocker / "sub")],
             "track": ["track", "--stage", "operational", "--region", "CH",
                       "--ledger", str(blocker), "--", sys.executable, "-c",
                       f"open({str(marker)!r}, 'w').close()"],

@@ -29,6 +29,28 @@ assert tracer.totals["datasets.generate_dataset.calls"] == 1
 """
 
 
+# the tracer counts FD work from each solution's work_points property
+_FD_SCRIPT = """
+from dataclasses import replace
+from ecol2 import PowerModel
+from ecol2.workloads import default_grid, pipeline
+from ecol2.workloads.finite_difference import fd_solve
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+tracer.begin_op()
+pipeline.run_pipeline("advection", PowerModel.fixed(50.0), "CH")
+tracer.end_op()
+grid = default_grid("advection")
+solved = [fd_solve("advection", replace(grid, nx=nx)).work_points for nx in (64, 128, 256)]
+t = tracer.totals
+assert t["finite_difference.fd_solve.calls"] == 3, t["finite_difference.fd_solve.calls"]
+assert t["finite_difference.fd_solve.work_points"] == sum(solved) > 0, (
+    t["finite_difference.fd_solve.work_points"], solved)
+"""
+
+
 _LEDGER_SCRIPT = """
 import sys
 from pathlib import Path
@@ -65,6 +87,11 @@ def _run_with_perfbench(script, *argv):
 
 def test_tracer_installs_and_traces_a_spectral_run():
     proc = _run_with_perfbench(_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_fd_run_counts_the_work_of_its_solves():
+    proc = _run_with_perfbench(_FD_SCRIPT)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -134,6 +134,13 @@ class TestAnalytic:
         ut0 = (-3.0 * sol.values[0] + 4.0 * sol.values[1] - sol.values[2]) / (2.0 * dt)
         assert np.max(np.abs(ut0)) < 1e-3
 
+    def test_closed_forms_record_no_work(self):
+        # a closed form takes no steps, so nothing is charged for it
+        for problem, reference in (("advection", analytic_advection),
+                                   ("reaction", analytic_reaction),
+                                   ("wave", analytic_wave)):
+            assert reference(default_grid(problem)).work_points == 0, problem
+
 
 class TestInitialConditions:
     def test_zero_amplitudes_give_zero_field(self):
@@ -218,7 +225,7 @@ class TestFiniteDifference:
         grid = replace(default_grid("advection"), nx=128, nt=11)
         beta = 10.0
         sol = fd_solve("advection", grid)
-        nsub = sol.work_points // ((grid.nt - 1) * grid.nx)
+        nsub = sol.nsub
         dt = grid.dt_out / nsub
         nu = beta * dt / grid.dx
         u = np.sin(grid.x)
@@ -240,7 +247,7 @@ class TestFiniteDifference:
         for problem in ("advection", "reaction", "wave"):
             grid = replace(default_grid(problem), nx=nx)
             sol = fd_solve(problem, grid)
-            nsub = sol.work_points // ((grid.nt - 1) * grid.nx)
+            nsub = sol.nsub
             assert sol.work_points == (grid.nt - 1) * nsub * grid.nx
             dt = grid.dt_out / nsub
             numbers[problem] = {
@@ -311,8 +318,7 @@ class TestSpectral:
         u0 = generate_initial_condition(
             InitialConditionSpec.sample(7), grid)
         coarse = spectral_solve("ks", u0, grid)
-        nsub = coarse.work_points // ((grid.nt - 1) * 256)
-        dt = grid.dt_out / nsub
+        dt = grid.dt_out / coarse.nsub
         fine = spectral_solve("ks", u0, grid, dt=dt / 2.0)
         assert rel_l2(coarse.values[-1], fine.values[-1]) < 1e-6
 
@@ -463,8 +469,7 @@ class TestSpectralBatch:
         for seed, bound in zip((0, 1, 2, 7), bounds):
             u0 = generate_initial_condition(InitialConditionSpec.sample(seed), grid)
             coarse = spectral_solve(equation, u0, grid)
-            nsub = coarse.work_points // ((grid.nt - 1) * 256)
-            fine = spectral_solve(equation, u0, grid, dt=grid.dt_out / nsub / 8.0)
+            fine = spectral_solve(equation, u0, grid, dt=grid.dt_out / coarse.nsub / 8.0)
             assert rel_l2(coarse.final_state, fine.final_state) <= bound, seed
 
     @pytest.mark.parametrize("equation", ("kdv", "ks"))
@@ -481,6 +486,8 @@ class TestSpectralBatch:
             scale = np.max(np.abs(alone.values))
             assert np.max(np.abs(masked.values - alone.values)) <= 1e-12 * scale, seed
             assert masked.work_points == alone.work_points
+            assert masked.nsub == alone.nsub
+            assert masked.points == 128
 
     @pytest.mark.parametrize("modes", ([100, 256], [8, 256], [256], [128, 256, 256]))
     def test_modes_validated(self, modes):
