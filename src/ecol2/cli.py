@@ -182,13 +182,13 @@ def _registry(args) -> RegionRegistry:
     return default_registry()
 
 
-def _params(args, stored: EcoL2Params | None = None) -> EcoL2Params:
+def _params(args, run=None) -> EcoL2Params:
     """Score parameters: each flag given on the command line, else the
-    value in `stored` (a stored run's), else the scorer's default."""
+    value of `run` (a stored run, as _read_run returns it), else the
+    scorer's default."""
     given = {"alpha": args.alpha, "beta": args.beta, "n_infer": args.n_infer}
-    return replace(
-        stored or EcoL2Params(), **{k: v for k, v in given.items() if v is not None}
-    )
+    stored = run[1] if run else EcoL2Params()
+    return replace(stored, **{k: v for k, v in given.items() if v is not None})
 
 
 def _require_region(args) -> str:
@@ -282,8 +282,9 @@ def cmd_track(args) -> int:
 
 
 def cmd_score(args) -> int:
-    params = _params(args)
     store = LedgerStore(args.ledger)
+    run = _read_run(store.root)
+    params = _params(args, run)
     carbon = aggregate(store)
     if args.r is not None:
         if args.prediction or args.reference:
@@ -411,13 +412,11 @@ def cmd_regions(args) -> int:
     records = [rec for recs in store.read_all().values() for rec in recs]
     if not records:
         raise ValidationError(f"no emission records under {store.root}")
-    r, stored = args.r, None
-    if r is None:
-        run = _read_run(store.root)
-        if run is None:
-            raise _UsageError("missing inputs: --r (no stored run to read it from)")
-        r, stored, _ = run
-    params = _params(args, stored)
+    run = _read_run(store.root)
+    if args.r is None and run is None:
+        raise _UsageError("missing inputs: --r (no stored run to read it from)")
+    r = run[0] if args.r is None else args.r
+    params = _params(args, run)
     duration = sum(rec.duration_s for rec in records)
     rows, scores = [], []
     for target in targets:

@@ -320,6 +320,27 @@ class TestScore:
         assert "(5, 8)" in err and "(8,)" in err
         assert out == ""
 
+    def test_stored_n_infer_sets_c_total(self, tmp_path, capsys):
+        # c_total does not depend on r, so a given r must not drop the
+        # stored run's inference count
+        ledger = str(tmp_path)
+        bench, _ = run_json(capsys, "bench", "advection", "--region", "CH",
+                            "--n-infer", "3", "--ledger", ledger)
+        scored, _ = run_json(capsys, "score", "--ledger", ledger, "--r", "0.0123")
+        regions, _ = run_json(capsys, "regions", "CH", "--ledger", ledger,
+                              "--r", "0.0123")
+        assert scored[0]["c_total"] == regions[0]["c_total"] == bench[0]["c_total"]
+
+    def test_corrupt_run_file_rejected(self, tmp_path, capsys):
+        self.fixture_store(tmp_path)
+        (tmp_path / "run.json").write_text('{"r": 1e-2,')
+        code, out, err = run_cli(
+            capsys, "score", "--ledger", str(tmp_path), "--r", "1e-2"
+        )
+        assert code == 1
+        assert str(tmp_path / "run.json") in err
+        assert out == ""
+
     def test_corrupt_ledger_is_runtime_failure(self, tmp_path, capsys):
         stage_dir = tmp_path / "Emissions" / "Operational"
         stage_dir.mkdir(parents=True)
@@ -599,10 +620,14 @@ class TestRegions:
         # a flag given on the command line overrides the stored value
         given, _ = run_json(capsys, "regions", "CH", "--ledger", ledger,
                             "--alpha", "100")
+        assert given[0]["ecol2"] != regions[0]["ecol2"]
+        # a given r leaves the stored parameters in force
         explicit, _ = run_json(capsys, "regions", "CH", "--ledger", ledger,
                                "--r", repr(bench[0]["r"]))
-        assert given == explicit
-        assert given[0]["ecol2"] != regions[0]["ecol2"]
+        assert explicit == regions
+        scored, _ = run_json(capsys, "score", "--ledger", ledger,
+                             "--r", repr(bench[0]["r"]))
+        assert scored[0]["ecol2"] == bench[0]["ecol2"]
 
     def test_score_note_printed_once_for_all_targets(self, tmp_path, capsys):
         self.seed_store(tmp_path)

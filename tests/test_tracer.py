@@ -15,17 +15,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the batch steps once per distinct substep count in each output interval,
+# and its longest row sets the substeps
 _SCRIPT = """
 from ecol2 import PowerModel
-from ecol2.workloads import pipeline
+from ecol2.workloads import default_grid, pipeline
 from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
+solved = []
+traced = pipeline.generate_dataset
+def generate_dataset(*args):
+    samples, reference, model = traced(*args)
+    solved.extend(samples + [reference, model])
+    return samples, reference, model
+pipeline.generate_dataset = generate_dataset
 tracer.begin_op()
 pipeline.run_pipeline("kdv", PowerModel.fixed(50.0), "CH")
 tracer.end_op()
-assert tracer.totals["datasets.generate_dataset.calls"] == 1
+t = tracer.totals
+assert t["datasets.generate_dataset.calls"] == 1
+intervals = default_grid("kdv").nt - 1
+nsub = [s.nsub for s in solved]
+assert t["kernels.spectral_evolve.calls"] == intervals * len(set(nsub)), (
+    t["kernels.spectral_evolve.calls"], nsub)
+assert t["kernels.spectral_evolve.substeps"] == intervals * max(nsub), (
+    t["kernels.spectral_evolve.substeps"], nsub)
 """
 
 

@@ -401,6 +401,20 @@ class TestSpectralBatch:
             spectral_solve_batch("kdv", u0s, grid, dt=0.5, modes=[64] * 4)
         assert info.value.row == 2
 
+    def test_blow_up_names_caller_row_when_step_order_differs(self, monkeypatch):
+        # nsub 36/108/36/144: rows step in the order 3, 1, 0, 2, and rows 1
+        # and 3 both pass the lowered limit at the first output time
+        grid = Grid1D(length=64.0, nx=64, nt=6, t_final=1.0)
+        wave = np.sin(2.0 * np.pi * grid.x / grid.length)
+        u0s = np.stack([a * wave for a in (0.5, 3.0, 0.2, 4.0)])
+        assert [s.nsub for s in spectral_solve_batch("kdv", u0s, grid)] == [36, 108, 36, 144]
+        monkeypatch.setattr(spectral_module, "_BLOWUP_LIMIT", 2.0)
+        with pytest.raises(SolverError, match=r"blew up by t = 0\.2 ") as info:
+            spectral_solve_batch("kdv", u0s, grid)
+        assert info.value.row == 1
+        # row 1's own dt, 0.2 / 108, not row 3's 0.2 / 144
+        assert "(dt = 0.001852, internal nx = 256)" in str(info.value)
+
     def test_evolve_equals_unhoisted_formula_bit_for_bit(self):
         def evolve_unhoisted(v, e_half, e_full, phi, nsub):
             q, f1, f2, f3 = phi
