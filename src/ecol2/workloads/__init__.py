@@ -1,10 +1,9 @@
-from .analytic import analytic_advection, analytic_reaction, analytic_wave
 from .datasets import (
     InitialConditionSpec,
     generate_dataset,
     generate_initial_condition,
 )
-from .finite_difference import fd_solve
+from .finite_difference import analytic_advection, analytic_reaction, analytic_wave, fd_solve
 from .grids import FieldSolution, Grid1D, default_grid, fourier_resample
 from .pipeline import WORKLOADS, PipelineResult, run_pipeline
 from .spectral import spectral_solve, spectral_solve_batch

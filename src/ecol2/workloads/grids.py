@@ -9,12 +9,6 @@ import numpy as np
 
 from ..errors import ValidationError
 
-# coefficients of the three textbook problems: u_t + c u_x = 0,
-# u_t = rho u (1 - u) and u_tt = c^2 u_xx
-ADVECTION_SPEED = 10.0
-REACTION_RATE = 5.0
-WAVE_SPEED_SQ = 3.0
-
 
 @dataclass(frozen=True)
 class Grid1D:

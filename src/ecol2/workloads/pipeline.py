@@ -31,7 +31,7 @@ from ..tracking import (
     start_session,
     stop_session,
 )
-from .analytic import analytic_advection, analytic_reaction, analytic_wave
+from . import finite_difference
 from .datasets import InitialConditionSpec, generate_dataset, write_dataset
 from .finite_difference import FD_PROBLEMS, fd_solve
 from .grids import default_grid
@@ -42,9 +42,9 @@ from .spectral import SPECTRAL_EQUATIONS, spectral_solve  # noqa: F401
 WORKLOADS = FD_PROBLEMS + SPECTRAL_EQUATIONS
 
 _ANALYTIC_REFERENCES = {
-    "advection": analytic_advection,
-    "reaction": analytic_reaction,
-    "wave": analytic_wave,
+    "advection": finite_difference.analytic_advection,
+    "reaction": finite_difference.analytic_reaction,
+    "wave": finite_difference.analytic_wave,
 }
 
 # coarser spatial trials standing in for hyperparameter search

@@ -179,23 +179,24 @@ def spectral_solve_batch(
     symbol = 1j * k**3 if equation == "kdv" else k**2 - k**4
     dt_accuracy = _DT_ACCURACY[equation]
 
-    nsub, dt_sub = [], []
+    nsub = []
     for i, m in enumerate(modes):
         k_max = math.pi * m / grid.length
         dt_limit = dt_accuracy / (float(u_scale[i]) * k_max)
-        nsub_i, dt_i = substeps(grid.dt_out, dt_limit if dt is None else dt)
-        nsub.append(nsub_i)
-        dt_sub.append(dt_i)
+        nsub.append(substeps(grid.dt_out, dt_limit if dt is None else dt)[0])
     # rows step in falling order of nsub, ties in caller order, so the rows
     # still running after each distinct count are a leading block
     order = sorted(range(count), key=lambda i: -nsub[i])
+    # rows with one nsub share their dt, dt_out / nsub as substeps gives it
+    coefficients = {
+        n: etdrk4_coefficients(grid.dt_out / n, symbol, real=equation == "ks")
+        for n in set(nsub)
+    }
     e_half = np.empty((count, k.size), dtype=np.complex128)
     e_full = np.empty_like(e_half)
     phi = np.empty((4, count, k.size), dtype=np.complex128)
     for row, i in enumerate(order):
-        e_half[row], e_full[row], weights = etdrk4_coefficients(
-            dt_sub[i], symbol, real=equation == "ks"
-        )
+        e_half[row], e_full[row], weights = coefficients[nsub[i]]
         phi[:, row] = weights * (-0.5j * k * _dealias_mask(modes[i], k.size))
     v = kernels.from_physical(u_int[order])
 
@@ -219,7 +220,7 @@ def spectral_solve_batch(
                 i = min(o for o, b in zip(order, bad) if b)
                 raise SolverError(
                     f"{equation} solution blew up by t = {t[j]:.6g} "
-                    f"(dt = {dt_sub[i]:.4g}, internal nx = {modes[i]})",
+                    f"(dt = {grid.dt_out / nsub[i]:.4g}, internal nx = {modes[i]})",
                     row=i,
                 )
             np.maximum(residue, res_j, out=residue)

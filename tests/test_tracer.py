@@ -62,6 +62,9 @@ grid = default_grid("advection")
 solved = [fd_solve("advection", replace(grid, nx=nx)).work_points for nx in (64, 128, 256)]
 t = tracer.totals
 assert t["finite_difference.fd_solve.calls"] == 3, t["finite_difference.fd_solve.calls"]
+# the closed form is reached through pipeline._ANALYTIC_REFERENCES, which the
+# tracer wraps; a pipeline that bypasses it would read 0 s there
+assert t["analytic.reference.calls"] == 1, t["analytic.reference.calls"]
 assert t["finite_difference.fd_solve.work_points"] == sum(solved) > 0, (
     t["finite_difference.fd_solve.work_points"], solved)
 """

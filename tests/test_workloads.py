@@ -257,6 +257,20 @@ class TestFiniteDifference:
             }[problem]
         assert all(0.0 < value <= 0.8 for value in numbers.values()), numbers
 
+    @pytest.mark.parametrize("nx", (64, 65, 128, 256, 257))
+    def test_model_starts_from_its_reference_initial_condition(self, nx):
+        for problem, reference in (("advection", analytic_advection),
+                                   ("reaction", analytic_reaction),
+                                   ("wave", analytic_wave)):
+            grid = replace(default_grid(problem), nx=nx)
+            start = fd_solve(problem, grid).values[0]
+            exact = reference(grid).values[0]
+            if problem == "reaction":
+                # the closed form's h / (h + 1 - h) at t = 0 is h up to rounding
+                np.testing.assert_allclose(start, exact, rtol=0.0, atol=2.3e-16)
+            else:
+                assert start.tobytes() == exact.tobytes(), problem
+
     def test_grid_periodicity_requirements(self):
         with pytest.raises(ValidationError):
             fd_solve("advection", replace(default_grid("advection"), periodic=False))
@@ -414,6 +428,22 @@ class TestSpectralBatch:
         assert info.value.row == 1
         # row 1's own dt, 0.2 / 108, not row 3's 0.2 / 144
         assert "(dt = 0.001852, internal nx = 256)" in str(info.value)
+
+    def test_coefficients_computed_once_per_substep_level(self, monkeypatch):
+        # rows with one nsub share their dt, dt_out / nsub, and so their
+        # ETDRK4 coefficients
+        calls = []
+        coefficients = spectral_module.etdrk4_coefficients
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return coefficients(*args, **kwargs)
+
+        monkeypatch.setattr(spectral_module, "etdrk4_coefficients", counted)
+        samples, reference, model = generate_dataset(
+            "kdv", 4, InitialConditionSpec.sample(0), 0, default_grid("kdv"))
+        rows = samples + [reference, model]
+        assert len(calls) == len({sol.nsub for sol in rows}) < len(rows), calls
 
     def test_evolve_equals_unhoisted_formula_bit_for_bit(self):
         def evolve_unhoisted(v, e_half, e_full, phi, nsub):
