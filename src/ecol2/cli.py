@@ -148,15 +148,14 @@ def _csv_cell(value):
     return value
 
 
-def emit(rows: list[dict], fmt: str, out=None) -> None:
+def emit(rows: list[dict], fmt: str) -> None:
     """Print rows; the columns are the first row's keys, in order."""
-    out = out or sys.stdout
     fields = list(rows[0])
     if fmt == "json":
-        out.write(json.dumps(rows, sort_keys=True, indent=1) + "\n")
+        sys.stdout.write(json.dumps(rows, sort_keys=True, indent=1) + "\n")
         return
     if fmt == "csv":
-        writer = csv_mod.writer(out, lineterminator="\n")
+        writer = csv_mod.writer(sys.stdout, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
             writer.writerow([_csv_cell(row.get(f)) for f in fields])
@@ -164,7 +163,7 @@ def emit(rows: list[dict], fmt: str, out=None) -> None:
     cells = [fields] + [[_table_cell(row.get(f)) for f in fields] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(fields))]
     for r in cells:
-        out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+        sys.stdout.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
 def _print_notes(scores) -> None:
@@ -385,7 +384,6 @@ def cmd_bench(args) -> int:
     main_row = _bench_row(result, args, params)
     run_payload = dict(main_row)
     run_payload["power"] = args.power
-    store.root.mkdir(parents=True, exist_ok=True)
     (store.root / RUN_FILE).write_text(
         json.dumps(run_payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )

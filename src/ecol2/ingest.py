@@ -36,9 +36,7 @@ class IngestWarning(UserWarning):
     pass
 
 
-def _cell(row: dict, column: str | None) -> str | None:
-    if column is None:
-        return None
+def _cell(row: dict, column: str) -> str | None:
     value = row.get(column)
     if value is None:
         return None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +145,7 @@ def ecol2(
     r = _finite_real(r)
     warnings: list[str] = []
     if r == 0.0:
-        r = float(np.finfo(np.float64).eps)
+        r = sys.float_info.epsilon
         warnings.append("r=0 clamped to machine epsilon")
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in [0, 1), got {r}")

@@ -52,13 +52,13 @@ def _dealias_mask(n: int, size: int) -> np.ndarray:
     return (np.arange(size) < n / 3.0).astype(np.float64)
 
 
-def etdrk4_coefficients(h: float, symbol: np.ndarray, real: bool):
+def etdrk4_coefficients(h: float, symbol: np.ndarray):
     """exp(hL/2), exp(hL) and the ETDRK4 weights (Q, f1, f2, f3) for step h.
 
     Each weight's closed form cancels badly as hL -> 0 (where Q -> h/2
     and f1, f2, f3 -> h/6), so it is taken as the mean of the closed form
-    over the contour about hL.  real drops the rounding-level imaginary
-    parts a real symbol leaves.
+    over the contour about hL.  The weights of a real symbol are real:
+    the contour leaves them only rounding-level imaginary parts.
     """
     # Kassam & Trefethen's contour: 32 points on the unit circle about each
     # hL, the full circle since kdv's hL is imaginary.  Built per call, not
@@ -75,7 +75,7 @@ def etdrk4_coefficients(h: float, symbol: np.ndarray, real: bool):
         np.mean((2.0 + lr + el * (lr - 2.0)) / lr3, axis=1),
         np.mean((-4.0 - 3.0 * lr - lr * lr + el * (4.0 - lr)) / lr3, axis=1),
     ])
-    if real:
+    if np.isrealobj(symbol):
         weights = weights.real
     return np.exp(hl / 2.0), np.exp(hl), h * weights
 
@@ -107,9 +107,7 @@ def spectral_solve(
     if u0.shape != (grid.nx,):
         raise ValidationError(f"u0 shape {u0.shape} does not match grid nx {grid.nx}")
     (solution,) = spectral_solve_batch(
-        equation, u0[None, :], grid, dt=dt,
-        modes=None if internal_nx is None else [internal_nx],
-    )
+        equation, u0[None, :], grid, dt=dt, modes=[internal_nx])
     return solution
 
 
@@ -123,8 +121,8 @@ def spectral_solve_batch(
 ) -> list[FieldSolution]:
     """Evolve each row of a (count, nx) stack; one result per row.
 
-    modes gives each row its own mode count, a power of two >= 16 (None:
-    every row at the grid's default).  The batch transforms at the
+    modes gives each row its own mode count, a power of two >= 16 (None,
+    for the list or a row: the grid's default).  The batch transforms at the
     largest count.  A row with fewer modes m is its m-point field
     zero-padded, dealiased at m/3 and stepped with the dt of a standalone
     m-point solve; the 2/3 rule keeps it on the m-point trajectory up to
@@ -156,42 +154,32 @@ def spectral_solve_batch(
         raise ValidationError("u0 must be finite")
     count = u0s.shape[0]
     if modes is None:
-        modes = [internal_modes(grid)] * count
-    else:
-        modes = [internal_modes(grid, m) for m in modes]
-        if len(modes) != count:
-            raise ValidationError(f"{len(modes)} mode counts for {count} rows")
+        modes = [None] * count
+    modes = [internal_modes(grid, m) for m in modes]
+    if len(modes) != count:
+        raise ValidationError(f"{len(modes)} mode counts for {count} rows")
     if dt is not None and not 0 < dt:
         raise ValidationError(f"dt must be > 0, got {dt}")
 
     n_int = max(modes)
-    resample = n_int != grid.nx
-    # each row's field at its own mode count, which sets its u_scale, then
-    # zero-padded to the batch's
-    u_int = np.empty((count, n_int))
-    u_scale = np.empty(count)
-    for m in sorted(set(modes)):
-        rows = [i for i, n in enumerate(modes) if n == m]
-        u_m = fourier_resample(u0s[rows], m)
-        u_scale[rows] = np.maximum(1.0, np.max(np.abs(u_m), axis=1))
-        u_int[rows] = u_m if m == n_int else fourier_resample(u_m, n_int)
-    k = _wavenumbers(n_int, grid.length)
-    symbol = 1j * k**3 if equation == "kdv" else k**2 - k**4
     dt_accuracy = _DT_ACCURACY[equation]
-
+    # each row's field at its own mode count, which sets its u_scale and
+    # so its nsub, then zero-padded to the batch's
+    u_int = np.empty((count, n_int))
     nsub = []
     for i, m in enumerate(modes):
-        k_max = math.pi * m / grid.length
-        dt_limit = dt_accuracy / (float(u_scale[i]) * k_max)
+        u_m = fourier_resample(u0s[i], m)
+        u_scale = max(1.0, float(np.max(np.abs(u_m))))
+        u_int[i] = fourier_resample(u_m, n_int)
+        dt_limit = dt_accuracy / (u_scale * (math.pi * m / grid.length))
         nsub.append(substeps(grid.dt_out, dt_limit if dt is None else dt)[0])
+    k = _wavenumbers(n_int, grid.length)
+    symbol = 1j * k**3 if equation == "kdv" else k**2 - k**4
     # rows step in falling order of nsub, ties in caller order, so the rows
     # still running after each distinct count are a leading block
     order = sorted(range(count), key=lambda i: -nsub[i])
     # rows with one nsub share their dt, dt_out / nsub as substeps gives it
-    coefficients = {
-        n: etdrk4_coefficients(grid.dt_out / n, symbol, real=equation == "ks")
-        for n in set(nsub)
-    }
+    coefficients = {n: etdrk4_coefficients(grid.dt_out / n, symbol) for n in set(nsub)}
     e_half = np.empty((count, k.size), dtype=np.complex128)
     e_full = np.empty_like(e_half)
     phi = np.empty((4, count, k.size), dtype=np.complex128)
@@ -224,7 +212,7 @@ def spectral_solve_batch(
                     row=i,
                 )
             np.maximum(residue, res_j, out=residue)
-            values[:, j] = fourier_resample(u_j, grid.nx) if resample else u_j
+            values[:, j] = fourier_resample(u_j, grid.nx)
 
     solutions = [None] * count
     for row, i in enumerate(order):

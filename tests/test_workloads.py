@@ -465,8 +465,7 @@ class TestSpectralBatch:
         nonlinear = -0.5j * k * (np.arange(k.size) < n / 3)
         e_half, e_full, phi = [], [], []
         for dt in (1e-3, 2e-3, 5e-4, 1.5e-3, 1e-3):
-            half, full, weights = spectral_module.etdrk4_coefficients(
-                dt, 1j * k**3, real=False)
+            half, full, weights = spectral_module.etdrk4_coefficients(dt, 1j * k**3)
             e_half.append(half)
             e_full.append(full)
             phi.append(weights * nonlinear)
@@ -481,10 +480,12 @@ class TestSpectralBatch:
         # Q -> h/2 and f1, f2, f3 -> h/6 as hL -> 0; hL = 0 exactly for the
         # mean mode, where the closed forms are 0/0
         h = 0.01
-        for symbol, real in ((1j * np.array([0.0, 1e-6, 1e-3]) ** 3, False),
-                             (np.array([0.0, -1e-8, -1e-4]), True)):
-            e_half, e_full, (q, f1, f2, f3) = spectral_module.etdrk4_coefficients(
-                h, symbol, real=real)
+        for symbol in (1j * np.array([0.0, 1e-6, 1e-3]) ** 3, np.array([0.0, -1e-8, -1e-4])):
+            e_half, e_full, weights = spectral_module.etdrk4_coefficients(h, symbol)
+            # the weights are real exactly when the symbol is: kdv's is
+            # imaginary, ks's real
+            assert np.isrealobj(weights) == np.isrealobj(symbol)
+            q, f1, f2, f3 = weights
             np.testing.assert_allclose(e_full, np.exp(h * symbol), rtol=1e-15)
             for weight, limit in ((q, h / 2), (f1, h / 6), (f2, h / 6), (f3, h / 6)):
                 np.testing.assert_allclose(weight, limit, rtol=1e-6)
@@ -532,6 +533,20 @@ class TestSpectralBatch:
             assert masked.work_points == alone.work_points
             assert masked.nsub == alone.nsub
             assert masked.points == 128
+
+    @pytest.mark.parametrize("equation", ("kdv", "ks"))
+    def test_row_without_modes_takes_grid_default(self, equation):
+        # a row's None is the grid's default, 256 on both default grids; a
+        # one-row spectral_solve passes modes=[None] unless told otherwise
+        grid = replace(default_grid(equation), nt=21, t_final=2.0)
+        u0 = generate_initial_condition(InitialConditionSpec.sample(7), grid)
+        u0s = np.stack([u0, 0.5 * u0])
+        default = spectral_solve_batch(equation, u0s, grid, modes=[None, 128])
+        given = spectral_solve_batch(equation, u0s, grid, modes=[256, 128])
+        for d, g in zip(default, given):
+            assert d.values.tobytes() == g.values.tobytes()
+            assert (d.nsub, d.points, d.max_imag_residue) == (g.nsub, g.points, g.max_imag_residue)
+        assert [s.points for s in default] == [256, 128]
 
     @pytest.mark.parametrize("modes", ([100, 256], [8, 256], [256], [128, 256, 256]))
     def test_modes_validated(self, modes):
