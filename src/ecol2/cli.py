@@ -166,10 +166,13 @@ def emit(rows: list[dict], fmt: str) -> None:
         sys.stdout.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
-def _print_notes(scores) -> None:
-    """Each distinct warning of the scores, once, on stderr."""
+def _emit_scored(rows: list[dict], scores, fmt: str) -> int:
+    """Print the rows, then each distinct warning of the scores once on
+    stderr; returns the scoring command's exit code, 0."""
+    emit(rows, fmt)
     for note in dict.fromkeys(note for score in scores for note in score.warnings):
         print(f"note: {note}", file=sys.stderr)
+    return 0
 
 
 # --- shared argument plumbing ---
@@ -196,13 +199,21 @@ def _require_region(args) -> str:
     return args.region
 
 
-def _carbon_row(carbon: CarbonLedger, n_infer: int) -> dict:
+def _scored_row(r, error, carbon: CarbonLedger, params: EcoL2Params, score) -> dict:
+    """The columns `bench` and `score` share; `error` (an ErrorReport) is
+    None when r was given, and so are rmse, max_error and mae."""
     return {
+        "r": r,
+        "rmse": error.rmse if error else None,
+        "max_error": error.max_error if error else None,
+        "mae": error.mae if error else None,
         "c_embodied": carbon.c_embodied,
         "c_developmental": carbon.c_developmental,
         "c_operational": carbon.c_operational,
         "c_inference": carbon.c_inference,
-        "c_total": carbon.total(n_infer),
+        "c_total": carbon.total(params.n_infer),
+        "ecol2": score.value,
+        "inaccurate": score.inaccurate,
     }
 
 
@@ -288,8 +299,7 @@ def cmd_score(args) -> int:
     if args.r is not None:
         if args.prediction or args.reference:
             raise _UsageError("--r and --prediction/--reference are exclusive")
-        r = args.r
-        rmse = max_error = mae = None
+        r, report = args.r, None
     else:
         missing = [
             flag
@@ -311,20 +321,9 @@ def cmd_score(args) -> int:
                 "reference field has zero norm; relative error undefined"
             )
         r = report.relative_l2
-        rmse, max_error, mae = report.rmse, report.max_error, report.mae
     score = ecol2(r, carbon, params)
-    row = {
-        "r": r,
-        "rmse": rmse,
-        "max_error": max_error,
-        "mae": mae,
-        **_carbon_row(carbon, params.n_infer),
-        "ecol2": score.value,
-        "inaccurate": score.inaccurate,
-    }
-    emit([row], args.format)
-    _print_notes([score])
-    return 0
+    row = _scored_row(r, report, carbon, params, score)
+    return _emit_scored([row], [score], args.format)
 
 
 def _bench_row(result, args, params) -> dict:
@@ -336,17 +335,15 @@ def _bench_row(result, args, params) -> dict:
         "alpha": params.alpha,
         "beta": params.beta,
         "n_infer": params.n_infer,
-        "r": result.error.relative_l2,
-        "rmse": result.error.rmse,
-        "max_error": result.error.max_error,
-        "mae": result.error.mae,
-        **_carbon_row(result.carbon, params.n_infer),
-        "ecol2": result.score.value,
-        "inaccurate": result.score.inaccurate,
+        **_scored_row(
+            result.error.relative_l2, result.error, result.carbon, params, result.score
+        ),
     }
 
 
 def cmd_bench(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     region = _require_region(args)
     registry = _registry(args)
     params = _params(args)
@@ -394,9 +391,7 @@ def cmd_bench(args) -> int:
             dict(main_row, alpha=p.alpha, ecol2=score.value)
             for p, score in zip(sweep_params, scores)
         ]
-    emit(rows, args.format)
-    _print_notes(scores)
-    return 0
+    return _emit_scored(rows, scores, args.format)
 
 
 def cmd_regions(args) -> int:
@@ -432,9 +427,7 @@ def cmd_regions(args) -> int:
                 "ecol2": score.value,
             }
         )
-    emit(rows, args.format)
-    _print_notes(scores)
-    return 0
+    return _emit_scored(rows, scores, args.format)
 
 
 def cmd_report(args) -> int:
@@ -457,9 +450,7 @@ def cmd_report(args) -> int:
                 "ecol2": score.value,
             }
         )
-    emit(rows, args.format)
-    _print_notes(scores)
-    return 0
+    return _emit_scored(rows, scores, args.format)
 
 
 def main(argv=None) -> int:

@@ -31,13 +31,6 @@ from .errors import LedgerError, ValidationError
 from .metrics import CarbonLedger
 from .tracking import STAGES, EmissionRecord
 
-STAGE_DIRS = {
-    "embodied": "Embodied",
-    "developmental": "Developmental",
-    "operational": "Operational",
-    "inference": "Inference",
-}
-
 # bytes per os.read of a record file; a record is a few hundred bytes
 _READ_CHUNK = 1 << 16
 
@@ -73,9 +66,9 @@ class LedgerStore:
         self.emissions_dir = self.root / "Emissions"
 
     def stage_dir(self, stage: str) -> Path:
-        if stage not in STAGE_DIRS:
+        if stage not in STAGES:
             raise ValidationError(f"stage must be one of {STAGES}, got {stage!r}")
-        return self.emissions_dir / STAGE_DIRS[stage]
+        return self.emissions_dir / stage.capitalize()
 
     def _write_error(self, err: OSError) -> LedgerError:
         return LedgerError(f"cannot write a record to ledger {self.root}: {err}")
@@ -145,7 +138,7 @@ class LedgerStore:
             if rec.stage != stage:
                 raise LedgerError(
                     f"corrupt record file {path}: stage {rec.stage!r} "
-                    f"stored under {STAGE_DIRS[stage]}"
+                    f"stored under {stage.capitalize()}"
                 )
             records.append(rec)
         return records

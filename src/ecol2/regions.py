@@ -8,6 +8,7 @@ emission formula converts to kilograms.
 from __future__ import annotations
 
 import csv
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -77,8 +78,8 @@ def _parse(fh, source: str) -> dict[str, float]:
             ) from None
         if not code:
             raise RegionError(f"{source}:{lineno}: empty iso_code")
-        if not value > 0:
-            raise RegionError(f"{source}:{lineno}: intensity must be positive")
+        if not (math.isfinite(value) and value > 0):
+            raise RegionError(f"{source}:{lineno}: intensity must be finite and positive")
         out[code] = value
     return out
 

@@ -44,9 +44,11 @@ class PowerModel:
             raise ParameterError(
                 f"power kind must be one of {POWER_KINDS}, got {self.kind!r}"
             )
-        if self.kind != "sampled-hardware" and (self.watts is None or not self.watts > 0):
+        if self.kind != "sampled-hardware" and not (
+            self.watts is not None and math.isfinite(self.watts) and self.watts > 0
+        ):
             raise ParameterError(
-                f"{self.kind} power model needs watts > 0, got {self.watts}"
+                f"{self.kind} power model needs finite watts > 0, got {self.watts}"
             )
 
     @classmethod

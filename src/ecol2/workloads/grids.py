@@ -120,14 +120,15 @@ def fourier_resample(u: np.ndarray, n_new: int) -> np.ndarray:
     """Band-limited resampling of periodic samples along the last axis.
 
     Exact for content below both grids' Nyquist frequencies; modes above
-    the target Nyquist are truncated (spectral projection).
+    the target Nyquist are truncated (spectral projection).  When the size
+    already matches, the float64 input itself is returned, not a copy.
     """
     u = np.asarray(u, dtype=np.float64)
     n = u.shape[-1]
     if n_new < 2:
         raise ValidationError("resample target must have >= 2 points")
     if n_new == n:
-        return u.copy()
+        return u
     spectrum = np.fft.rfft(u)
     out = np.zeros(u.shape[:-1] + (n_new // 2 + 1,), dtype=np.complex128)
     m_copy = min(n, n_new) // 2 + 1

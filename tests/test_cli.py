@@ -142,6 +142,24 @@ class TestTrack:
         assert not marker.exists()
         assert not (tmp_path / "Emissions").exists()
 
+    @pytest.mark.parametrize("option", ("power", "regions"))
+    def test_non_finite_input_rejected_before_the_child(self, tmp_path, capsys, option):
+        regions = tmp_path / "extra.csv"
+        regions.write_text("iso_code,intensity_g_per_kwh\nXX,inf\n")
+        flags, message = {
+            "power": (("--power", "rated:inf"), "needs finite watts > 0"),
+            "regions": (("--regions", str(regions)), f"{regions}:2: intensity must be finite"),
+        }[option]
+        marker = tmp_path / "child-ran"
+        code, _, err = self.track(
+            capsys, tmp_path, *flags,
+            child=("python3", "-c", f"open({str(marker)!r}, 'w')"),
+        )
+        assert code == 1
+        assert message in err
+        assert not marker.exists()
+        assert not (tmp_path / "Emissions").exists()
+
     def test_everything_after_the_separator_reaches_the_child(self, tmp_path, capsys):
         argv_file = tmp_path / "argv.json"
         script = f"import json, sys; open({str(argv_file)!r}, 'w').write(json.dumps(sys.argv[1:]))"
@@ -501,6 +519,18 @@ class TestBench:
         rows, _ = self.bench(capsys, tmp_path, "advection")
         assert rows[0]["workload"] == "advection"
 
+    @pytest.mark.parametrize("workload", ("kdv", "advection"))
+    def test_negative_seed_rejected(self, tmp_path, capsys, workload):
+        ledger = tmp_path / "ledger"
+        code, out, err = run_cli(
+            capsys, "bench", workload, "--region", "CH", "--seed", "-1",
+            "--ledger", str(ledger),
+        )
+        assert code == 1
+        assert "--seed" in err
+        assert out == ""
+        assert not ledger.exists()
+
     def test_unknown_workload_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "bench", "burgers", "--region", "CH", "--ledger", str(tmp_path)
@@ -627,7 +657,11 @@ class TestRegions:
         assert explicit == regions
         scored, _ = run_json(capsys, "score", "--ledger", ledger,
                              "--r", repr(bench[0]["r"]))
-        assert scored[0]["ecol2"] == bench[0]["ecol2"]
+        # every column score shares with bench, but the error norms it was
+        # not given, reads the same
+        shared = set(scored[0]) - {"rmse", "max_error", "mae"}
+        assert shared <= set(bench[0])
+        assert {k: scored[0][k] for k in shared} == {k: bench[0][k] for k in shared}
 
     def test_score_note_printed_once_for_all_targets(self, tmp_path, capsys):
         self.seed_store(tmp_path)

@@ -50,6 +50,8 @@ class TestRegistry:
         "iso_code,intensity_g_per_kwh\nCH\n",
         "iso_code,intensity_g_per_kwh\nCH,zero\n",
         "iso_code,intensity_g_per_kwh\nCH,-5\n",
+        "iso_code,intensity_g_per_kwh\nXX,inf\n",
+        "iso_code,intensity_g_per_kwh\nXX,nan\n",
         "iso_code,intensity_g_per_kwh\n,5\n",
     ))
     def test_malformed_csv_rejected(self, tmp_path, body):
@@ -67,7 +69,9 @@ class TestPowerModel:
         fixed = PowerModel.parse("fixed:50")
         assert (fixed.kind, fixed.watts) == ("synthetic-fixed", 50.0)
 
-    @pytest.mark.parametrize("text", ("", "rated:", "rated:watts", "50", "sampled"))
+    @pytest.mark.parametrize("text", (
+        "", "rated:", "rated:watts", "50", "sampled", "rated:inf", "fixed:inf", "fixed:nan",
+    ))
     def test_parse_rejects(self, text):
         with pytest.raises(ParameterError):
             PowerModel.parse(text)
