@@ -247,12 +247,54 @@ def _read_run(root: Path) -> tuple[float, EcoL2Params, str | None] | None:
 # --- subcommands ---
 
 
-class _Terminated(Exception):
-    """SIGTERM arrived while a tracked child ran."""
+class _Interrupted(Exception):
+    """SIGINT or SIGTERM arrived while a tracked child ran."""
 
 
-def _raise_terminated(signum, frame):
-    raise _Terminated
+# how long a child may run its own SIGINT cleanup before it is killed,
+# subprocess's own grace for a child that got the terminal's ^C too
+_SIGINT_GRACE_S = 0.25
+
+
+def _run_child(child) -> int:
+    """Run child to its exit and return its exit code.
+
+    SIGINT or SIGTERM kills and reaps the child, and the code is then
+    128 + the first signal's number; after SIGINT the child first gets
+    _SIGINT_GRACE_S to exit by itself.  Until Popen returns the handle a
+    signal is only noted, so none escapes while nothing holds the child;
+    exec resets caught handlers, so the child's own are unchanged.
+    """
+    noted = []
+    proc = None
+
+    def on_signal(signum, frame):
+        noted.append(signum)
+        # raise once, and only with the handle held; a signal during the
+        # grace or the kill below is only noted
+        if proc is not None and len(noted) == 1:
+            raise _Interrupted
+
+    stops = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(signum, on_signal) for signum in stops]
+    try:
+        try:
+            proc = subprocess.Popen(child)
+            if not noted:
+                return proc.wait()
+        except _Interrupted:
+            pass
+        if noted[0] == signal.SIGINT:
+            try:
+                proc.wait(timeout=_SIGINT_GRACE_S)
+            except subprocess.TimeoutExpired:
+                pass
+        proc.kill()
+        proc.wait()
+        return 128 + noted[0]
+    finally:
+        for signum, handler in zip(stops, previous):
+            signal.signal(signum, handler)
 
 
 def cmd_track(args) -> int:
@@ -273,18 +315,11 @@ def cmd_track(args) -> int:
         label=args.label or Path(child[0]).name,
         registry=registry,
     )
-    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
-        code = subprocess.run(child).returncode
+        code = _run_child(child)
     except FileNotFoundError as err:
         session.abandon()
         raise ValidationError(f"cannot run {child[0]!r}: {err}") from err
-    except KeyboardInterrupt:
-        code = 128 + signal.SIGINT
-    except _Terminated:
-        code = 128 + signal.SIGTERM
-    finally:
-        signal.signal(signal.SIGTERM, previous)
     record = stop_session(session, failed=code != 0)
     path = store.record(record)
     print(f"recorded {record.stage} {record.emissions_kg:.6e} kgCO2 -> {path}")

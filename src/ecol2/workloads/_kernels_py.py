@@ -1,11 +1,37 @@
 """Pure numpy time-stepping kernels.
 
 Every kernel returns fresh arrays and never mutates its inputs.
+
+The spectral kernels call numpy's real-FFT gufuncs directly, which skips
+the argument handling and output allocation of np.fft.rfft and
+np.fft.irfft and returns the same bits.  The gufuncs are private to
+numpy and exist from numpy 2.0; tests/test_kernels.py checks them
+against np.fft bit for bit.  Every transform here has an even point
+count, so rfft_n_even is the only forward gufunc needed.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+_AXES = [(-1,), (), (-1,)]
+
+
+@functools.cache
+def _fft_gufuncs():
+    """numpy's irfft and rfft_n_even gufuncs.
+
+    They take (v, 1 / n, out=(..., n)) and (u, 1.0, out=(..., n/2 + 1)),
+    the calls and backward scale factors np.fft makes, along the last
+    axis.  numpy loads numpy.fft only when it is first used, and they are
+    imported here on the first spectral call, so a process that runs no
+    spectral kernel does not load it.
+    """
+    from numpy.fft import _pocketfft_umath
+
+    return _pocketfft_umath.irfft, _pocketfft_umath.rfft_n_even
 
 
 def spectral_evolve(v, e_half, e_full, phi, nsub):
@@ -23,40 +49,54 @@ def spectral_evolve(v, e_half, e_full, phi, nsub):
     call on it would, bit for bit.
     """
     q, f1, f2, f3 = phi
-    n = 2 * (np.shape(v)[-1] - 1)
+    irfft, rfft = _fft_gufuncs()
     v = np.array(v, dtype=np.complex128, copy=True)
+    # the physical field of each nonlinear term rfft(irfft(w, n) ** 2);
+    # squaring in place gives the bits of ** 2, and each rfft gets a fresh
+    # output, since nv, na, nb and nc all live to the end of the step
+    n = 2 * (v.shape[-1] - 1)
+    inv_n = 1.0 / n
+    x = np.empty(v.shape[:-1] + (n,))
+
+    def nonlinear(w):
+        irfft(w, inv_n, axes=_AXES, out=x)
+        np.square(x, out=x)
+        return rfft(x, 1.0, axes=_AXES, out=np.empty_like(w))
+
     # e_half * v serves both a and b, and doubling is exact, so hoisting it
     # and 2 f2 keeps every result bit for bit
     f2_2 = 2.0 * f2
-    rfft, irfft = np.fft.rfft, np.fft.irfft
     for _ in range(nsub):
-        nv = rfft(irfft(v, n) ** 2)
+        nv = nonlinear(v)
         ev = e_half * v
         a = ev + q * nv
-        na = rfft(irfft(a, n) ** 2)
+        na = nonlinear(a)
         b = ev + q * na
-        nb = rfft(irfft(b, n) ** 2)
+        nb = nonlinear(b)
         c = e_half * a + q * (2.0 * nb - nv)
-        nc = rfft(irfft(c, n) ** 2)
+        nc = nonlinear(c)
         v = e_full * v + f1 * nv + f2_2 * (na + nb) + f3 * nc
     return v
 
 
 def to_physical(v):
-    """Physical fields of a half-spectrum state, and each row's imaginary residue.
+    """Physical fields of a half-spectrum state.
 
-    irfft discards only the imaginary parts of the mean and Nyquist modes;
-    the residue (|Im v[0]| + |Im v[n/2]|) / n is the largest imaginary
-    part an inverse transform of the full spectrum would have discarded.
+    Like np.fft.irfft, this discards the imaginary parts of the mean and
+    Nyquist modes.
     """
+    irfft, _ = _fft_gufuncs()
     v = np.asarray(v)
     n = 2 * (v.shape[-1] - 1)
-    residue = (np.abs(v[..., 0].imag) + np.abs(v[..., -1].imag)) / n
-    return np.fft.irfft(v, n), residue
+    return irfft(v, 1.0 / n, axes=_AXES, out=np.empty(v.shape[:-1] + (n,)))
 
 
 def from_physical(u):
-    return np.fft.rfft(np.asarray(u, dtype=np.float64))
+    """Half spectrum of a real field of an even number of points."""
+    _, rfft = _fft_gufuncs()
+    u = np.asarray(u, dtype=np.float64)
+    out = np.empty(u.shape[:-1] + (u.shape[-1] // 2 + 1,), dtype=np.complex128)
+    return rfft(u, 1.0, axes=_AXES, out=out)
 
 
 def advection_lax_wendroff(u, nu, nsub):

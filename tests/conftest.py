@@ -1,4 +1,4 @@
-"""Shared fixtures: scorecard rows and ledger builders.
+"""Shared fixtures: scorecard rows, ledger builders and the np.fft ETDRK4 step.
 
 GOLDEN_ROWS pins previously reported scores for fifteen solver runs
 (five equations x three solver families).  Each row carries the run's
@@ -70,6 +70,26 @@ def write_fields_for_r(tmpdir, r, tag=""):
     np.savetxt(ref, np.array([1.0, 0.0]), delimiter=",")
     np.savetxt(pred, np.array([1.0, float(r)]), delimiter=",")
     return pred, ref
+
+
+def evolve_unhoisted(v, e_half, e_full, phi, nsub):
+    """ETDRK4 as written out by Kassam & Trefethen, through np.fft.
+
+    The reference that kernels.spectral_evolve must equal bit for bit.
+    """
+    q, f1, f2, f3 = phi
+    n = 2 * (np.shape(v)[-1] - 1)
+    v = np.array(v, dtype=np.complex128, copy=True)
+    for _ in range(nsub):
+        nv = np.fft.rfft(np.fft.irfft(v, n) ** 2)
+        a = e_half * v + q * nv
+        na = np.fft.rfft(np.fft.irfft(a, n) ** 2)
+        b = e_half * v + q * na
+        nb = np.fft.rfft(np.fft.irfft(b, n) ** 2)
+        c = e_half * a + q * (2.0 * nb - nv)
+        nc = np.fft.rfft(np.fft.irfft(c, n) ** 2)
+        v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+    return v
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ecol2
-from ecol2 import LedgerStore, aggregate
+from ecol2 import LedgerStore, aggregate, cli
 from ecol2.cli import _build_parser, main
 
 from conftest import GOLDEN_ROWS, build_fixture_store, make_record, write_fields_for_r
@@ -199,6 +199,78 @@ class TestTrack:
         (rec,) = LedgerStore(ledger).read_stage("operational")
         assert rec.failed
         assert rec.duration_s > 0
+
+    def test_child_gets_time_to_clean_up_after_a_terminal_interrupt(self, tmp_path):
+        # ^C at a terminal signals the whole foreground group, track and its
+        # child alike; a child that saves its work on SIGINT must get to
+        # finish before track kills it
+        marker = tmp_path / "child-started"
+        saved = tmp_path / "child-saved"
+        ledger = tmp_path / "ledger"
+        child = (
+            "import signal, sys, time\n"
+            "def save(signum, frame):\n"
+            "    time.sleep(0.05)\n"
+            f"    open({str(saved)!r}, 'w').close()\n"
+            "    sys.exit(0)\n"
+            "signal.signal(signal.SIGINT, save)\n"
+            f"open({str(marker)!r}, 'w').close()\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ecol2.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ecol2.cli", "track", "--stage", "operational",
+             "--region", "CH", "--ledger", str(ledger),
+             "--", sys.executable, "-c", child],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert marker.exists(), "tracked child never started"
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=30.0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert proc.returncode == 128 + signal.SIGINT, err.decode()
+        assert saved.exists(), "child was killed before its SIGINT handler finished"
+        (rec,) = LedgerStore(ledger).read_stage("operational")
+        assert rec.failed
+
+    @pytest.mark.parametrize("signum", (signal.SIGINT, signal.SIGTERM),
+                             ids=("SIGINT", "SIGTERM"))
+    def test_signal_while_the_child_starts_kills_and_reaps_it(
+            self, tmp_path, capsys, monkeypatch, signum):
+        # the signal lands after the child exists but before Popen returns
+        # its handle, the window in which nothing else could reach the child
+        started = []
+
+        class SignalledPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+                os.kill(os.getpid(), signum)
+
+        monkeypatch.setattr(cli.subprocess, "Popen", SignalledPopen)
+        try:
+            code, out, err = self.track(
+                capsys, tmp_path, child=(sys.executable, "-c", "import time; time.sleep(60)"))
+            (child,) = started
+            assert code == 128 + signum, err
+            assert "recorded operational" in out
+            (rec,) = LedgerStore(tmp_path).read_stage("operational")
+            assert rec.failed
+            # reaped: the handle holds the exit status of the kill
+            assert child.returncode == -signal.SIGKILL
+        finally:
+            for proc in started:
+                proc.kill()
+                proc.wait()
 
     def test_records_count_toward_a_later_score(self, tmp_path, capsys):
         (bench,), _ = run_json(

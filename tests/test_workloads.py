@@ -40,6 +40,8 @@ from ecol2.workloads.datasets import write_dataset
 from ecol2.workloads import pipeline as pipeline_module
 from ecol2.workloads import _kernels_py, spectral as spectral_module
 
+from conftest import evolve_unhoisted
+
 
 def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
@@ -448,20 +450,6 @@ class TestSpectralBatch:
         assert len(calls) == len({sol.nsub for sol in rows}) < len(rows), calls
 
     def test_evolve_equals_unhoisted_formula_bit_for_bit(self):
-        def evolve_unhoisted(v, e_half, e_full, phi, nsub):
-            q, f1, f2, f3 = phi
-            v = np.array(v, dtype=np.complex128, copy=True)
-            for _ in range(nsub):
-                nv = np.fft.rfft(np.fft.irfft(v, n) ** 2)
-                a = e_half * v + q * nv
-                na = np.fft.rfft(np.fft.irfft(a, n) ** 2)
-                b = e_half * v + q * na
-                nb = np.fft.rfft(np.fft.irfft(b, n) ** 2)
-                c = e_half * a + q * (2.0 * nb - nv)
-                nc = np.fft.rfft(np.fft.irfft(c, n) ** 2)
-                v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
-            return v
-
         n = 256
         k = 2.0 * np.pi * np.fft.rfftfreq(n, d=0.5)
         nonlinear = -0.5j * k * (np.arange(k.size) < n / 3)
@@ -493,18 +481,53 @@ class TestSpectralBatch:
                 np.testing.assert_allclose(weight, limit, rtol=1e-6)
                 np.testing.assert_allclose(weight[0], limit, rtol=1e-14)
 
-    def test_residue_is_what_a_full_inverse_transform_discards(self):
-        n = 64
-        rng = np.random.default_rng(4)
-        v = np.fft.rfft(rng.standard_normal((3, n)))
-        v[:, 0] += 1j * np.array([0.0, 1e-6, -2e-9])
-        v[:, -1] += 1j * np.array([3e-7, 0.0, 5e-9])
-        u, residue = _kernels_py.to_physical(v)
+    def test_residue_is_what_a_full_inverse_transform_discards(self, monkeypatch):
+        # after every step, each row holds imaginary parts at its mean and
+        # Nyquist modes, which irfft drops
+        imag_mean, imag_nyquist = np.array([0.0, 1e-6, -2e-9]), np.array([3e-7, 0.0, 5e-9])
+        evolve = _kernels_py.spectral_evolve
+        stepped = []
+
+        def injected(*args):
+            v = evolve(*args)
+            v[:, 0] = v[:, 0].real + 1j * imag_mean[:len(v)]
+            v[:, -1] = v[:, -1].real + 1j * imag_nyquist[:len(v)]
+            stepped.append(v.copy())
+            return v
+
+        monkeypatch.setattr(_kernels_py, "spectral_evolve", injected)
+        grid = replace(default_grid("kdv"), nx=64, nt=3, t_final=0.2)
+        u0 = generate_initial_condition(InitialConditionSpec.sample(0), grid)
+        solutions = spectral_solve_batch("kdv", np.stack([u0, u0, u0]), grid, modes=[64] * 3)
+        v = stepped[-1]
         full = np.concatenate([v, np.conj(v[:, -2:0:-1])], axis=1)
         discarded = np.fft.ifft(full)
-        np.testing.assert_allclose(u, discarded.real, rtol=0, atol=1e-15)
         np.testing.assert_allclose(
-            residue, np.max(np.abs(discarded.imag), axis=1), rtol=0, atol=1e-15)
+            _kernels_py.to_physical(v), discarded.real, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            [s.max_imag_residue for s in solutions], np.max(np.abs(discarded.imag), axis=1),
+            rtol=0, atol=1e-15)
+
+    def test_masked_row_residue_is_taken_at_its_own_nyquist_mode(self, monkeypatch):
+        # after every step, each row holds imaginary part a at mode 64 and b
+        # at mode 128; the mean mode's stays exactly 0.  The 256-mode row's
+        # Nyquist mode is 128, the 128-mode row's is 64, and both divide by
+        # the batch's 256 points
+        a, b = 2.0**-10, 2.0**-6
+        evolve = _kernels_py.spectral_evolve
+
+        def injected(*args):
+            v = evolve(*args)
+            v[:, 64] = v[:, 64].real + 1j * a
+            v[:, 128] = v[:, 128].real + 1j * b
+            return v
+
+        monkeypatch.setattr(_kernels_py, "spectral_evolve", injected)
+        grid = replace(default_grid("kdv"), nt=3, t_final=0.2)
+        u0 = generate_initial_condition(InitialConditionSpec.sample(0), grid)
+        full, masked = spectral_solve_batch("kdv", np.stack([u0, u0]), grid, modes=[256, 128])
+        assert full.max_imag_residue == b / 256
+        assert masked.max_imag_residue == a / 256
 
     @pytest.mark.parametrize("equation, bounds", (
         # the u(T) error of the integrating-factor RK4 this stepper replaced
