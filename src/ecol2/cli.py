@@ -36,8 +36,6 @@ from .workloads import BACKEND, WORKLOADS, run_pipeline
 
 DEFAULT_POWER = "fixed:50"
 
-RUN_FILE = "run.json"
-
 class _UsageError(ValidationError):
     pass
 
@@ -186,8 +184,8 @@ def _registry(args) -> RegionRegistry:
 
 def _params(args, run=None) -> EcoL2Params:
     """Score parameters: each flag given on the command line, else the
-    value of `run` (a stored run, as _read_run returns it), else the
-    scorer's default."""
+    value of `run` (a stored run, as LedgerStore.read_run returns it),
+    else the scorer's default."""
     given = {"alpha": args.alpha, "beta": args.beta, "n_infer": args.n_infer}
     stored = run[1] if run else EcoL2Params()
     return replace(stored, **{k: v for k, v in given.items() if v is not None})
@@ -215,33 +213,6 @@ def _scored_row(r, error, carbon: CarbonLedger, params: EcoL2Params, score) -> d
         "ecol2": score.value,
         "inaccurate": score.inaccurate,
     }
-
-
-def _read_run(root: Path) -> tuple[float, EcoL2Params, str | None] | None:
-    """(r, score parameters, workload) of the run `bench` stored under a
-    ledger root, or None if there is none.
-
-    r, alpha, beta and n_infer (defaults for those absent) must pass the
-    scorer's own checks; a run file that fails them or is not a JSON object
-    raises ValidationError naming the file.
-    """
-    path = root / RUN_FILE
-    if not path.is_file():
-        return None
-    try:
-        stored = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ValidationError(f"{path}: unreadable run file: {err}") from None
-    if not isinstance(stored, dict):
-        raise ValidationError(f"{path}: run file is not a JSON object")
-    try:
-        params = EcoL2Params(
-            **{k: stored[k] for k in ("alpha", "beta", "n_infer") if k in stored}
-        )
-        ecol2(stored.get("r"), CarbonLedger(), params)  # checks r's domain
-    except ValidationError as err:
-        raise ValidationError(f"{path}: {err}") from None
-    return stored["r"], params, stored.get("workload")
 
 
 # --- subcommands ---
@@ -328,7 +299,7 @@ def cmd_track(args) -> int:
 
 def cmd_score(args) -> int:
     store = LedgerStore(args.ledger)
-    run = _read_run(store.root)
+    run = store.read_run()
     params = _params(args, run)
     carbon = aggregate(store)
     if args.r is not None:
@@ -395,8 +366,7 @@ def cmd_bench(args) -> int:
     store = LedgerStore(args.ledger)
     # a second run's records would merge into the first's in every later
     # score, and so would what an interrupted run left
-    held = [p for p in (store.root / RUN_FILE, store.root / "dataset") if p.exists()]
-    held += sorted(store.emissions_dir.glob("*/*.json"))
+    held = store.held()
     if held:
         raise ValidationError(
             f"ledger {store.root} already holds {held[0]}; use a fresh --ledger"
@@ -416,9 +386,7 @@ def cmd_bench(args) -> int:
     main_row = _bench_row(result, args, params)
     run_payload = dict(main_row)
     run_payload["power"] = args.power
-    (store.root / RUN_FILE).write_text(
-        json.dumps(run_payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    store.write_run(run_payload)
     rows, scores = [main_row], [result.score]
     if sweep_params:
         scores = [ecol2(result.error.relative_l2, result.carbon, p) for p in sweep_params]
@@ -440,7 +408,7 @@ def cmd_regions(args) -> int:
     records = [rec for recs in store.read_all().values() for rec in recs]
     if not records:
         raise ValidationError(f"no emission records under {store.root}")
-    run = _read_run(store.root)
+    run = store.read_run()
     if args.r is None and run is None:
         raise _UsageError("missing inputs: --r (no stored run to read it from)")
     r = run[0] if args.r is None else args.r
@@ -469,16 +437,17 @@ def cmd_report(args) -> int:
     rows, scores = [], []
     for root in args.roots:
         store = LedgerStore(root)
-        run = _read_run(store.root)
+        run = store.read_run()
         if run is None:
-            raise ValidationError(f"no stored run ({RUN_FILE}) under {root}")
+            raise ValidationError(f"no stored run ({store.run_file.name}) under {root}")
         r, params, workload = run
         carbon = aggregate(store)
         score = ecol2(r, carbon, params)
         scores.append(score)
         rows.append(
             {
-                "model": Path(root).name,
+                # the directory's own name, also for a root such as "."
+                "model": os.path.basename(os.path.abspath(root)),
                 "workload": workload,
                 "r": r,
                 "c_total": carbon.total(params.n_infer),

@@ -1,4 +1,4 @@
-"""Append-only emission record store.
+"""Append-only emission record store; the one owner of a ledger's files.
 
 Layout under a root directory:
 
@@ -6,6 +6,8 @@ Layout under a root directory:
     <root>/Emissions/Developmental/*.json
     <root>/Emissions/Operational/*.json
     <root>/Emissions/Inference/*.json
+    <root>/run.json     the scored row of the run `bench` made here
+    <root>/dataset/     the samples a spectral `bench` generated
 
 One JSON document per record.  A stage whose directory is missing is
 disabled and aggregates to zero; writing into it creates it.  A writer
@@ -13,8 +15,8 @@ writes the whole record to a temporary `*.json.tmp` of its own, then
 publishes it under its final name with a hard link, which the filesystem
 refuses for a name that exists.  So concurrent writers, in one process or
 many, never end on one name, readers never see part of a record, and no
-writer waits on another.  The ledger must sit on a filesystem with hard
-links.
+writer waits on another.  The run file is published the same way, and
+never replaced.  The ledger must sit on a filesystem with hard links.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 from pathlib import Path
 
 from .errors import LedgerError, ValidationError
-from .metrics import CarbonLedger
+from .metrics import CarbonLedger, EcoL2Params, ecol2
 from .tracking import STAGES, EmissionRecord
 
 # bytes per os.read of a record file; a record is a few hundred bytes
@@ -60,10 +62,26 @@ def _slug(label: str) -> str:
     return text[:80]
 
 
+@contextlib.contextmanager
+def _temporary(base: str, payload: str):
+    """Yield a `<base>.<pid>-<thread id>.json.tmp` holding payload, which
+    no other writer touches; it is removed on exit, its links stay."""
+    tmp = f"{base}.{os.getpid()}-{threading.get_ident()}.json.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(payload)
+        yield tmp
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 class LedgerStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.emissions_dir = self.root / "Emissions"
+        self.run_file = self.root / "run.json"
+        self.dataset_dir = self.root / "dataset"
 
     def stage_dir(self, stage: str) -> Path:
         if stage not in STAGES:
@@ -94,12 +112,8 @@ class LedgerStore:
         prefix = self.make_stage_dir(emission.stage)
         payload = json.dumps(emission.to_dict(), sort_keys=True, indent=1) + "\n"
         base = f"{prefix}{int(time.time() * 1000)}-{_slug(emission.label)}"
-        # unique to this process and thread, so no other writer touches it
-        tmp = f"{base}.{os.getpid()}-{threading.get_ident()}.json.tmp"
         try:
-            try:
-                with open(tmp, "w", encoding="utf-8") as out:
-                    out.write(payload)
+            with _temporary(base, payload) as tmp:
                 path = f"{base}.json"
                 suffix = 0
                 while True:
@@ -109,11 +123,51 @@ class LedgerStore:
                     except FileExistsError:
                         suffix += 1
                         path = f"{base}-{suffix}.json"
-            finally:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(tmp)
         except OSError as err:
             raise self._write_error(err) from err
+
+    def write_run(self, row: dict) -> None:
+        """Publish `row` as the run file, linked in whole as a record is.
+        A run file that exists is never replaced: that, as any OSError,
+        raises LedgerError."""
+        payload = json.dumps(row, sort_keys=True, indent=1) + "\n"
+        try:
+            with _temporary(os.path.splitext(self.run_file)[0], payload) as tmp:
+                os.link(tmp, self.run_file)
+        except OSError as err:
+            raise LedgerError(f"cannot write the run file to ledger {self.root}: {err}") from err
+
+    def read_run(self) -> tuple[float, EcoL2Params, str | None] | None:
+        """(r, score parameters, workload) of the run `bench` stored in this
+        ledger, or None if there is none.
+
+        r, alpha, beta and n_infer (defaults for those absent) must pass the
+        scorer's own checks; a run file that fails them or is not a JSON
+        object raises ValidationError naming the file.
+        """
+        path = self.run_file
+        if not path.is_file():
+            return None
+        try:
+            stored = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ValidationError(f"{path}: unreadable run file: {err}") from None
+        if not isinstance(stored, dict):
+            raise ValidationError(f"{path}: run file is not a JSON object")
+        try:
+            params = EcoL2Params(
+                **{k: stored[k] for k in ("alpha", "beta", "n_infer") if k in stored}
+            )
+            ecol2(stored.get("r"), CarbonLedger(), params)  # checks r's domain
+        except ValidationError as err:
+            raise ValidationError(f"{path}: {err}") from None
+        return stored["r"], params, stored.get("workload")
+
+    def held(self) -> list[Path]:
+        """What runs left here: the run file, the dataset, then published
+        records in path order (not `*.json.tmp`); empty if fresh."""
+        held = [p for p in (self.run_file, self.dataset_dir) if p.exists()]
+        return held + sorted(self.emissions_dir.glob("*/*.json"))
 
     def read_stage(self, stage: str) -> list[EmissionRecord]:
         """All records of one stage, in filename order; none if never written.

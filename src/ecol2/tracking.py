@@ -17,7 +17,7 @@ import glob
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .errors import ParameterError, RegionError, TrackingError, ValidationError
@@ -115,40 +115,62 @@ class EmissionRecord:
             raise ValidationError(f"inference_count must be an integer >= 1, got {count!r}")
 
     def to_dict(self) -> dict:
-        out = {
-            "stage": self.stage,
-            "label": self.label,
-            "energy_kwh": self.energy_kwh,
-            "duration_s": self.duration_s,
-            "region": self.region,
-            "emissions_kg": self.emissions_kg,
+        """The record's fields, less those at their defaults; a record
+        file holds this as JSON, where the power trace's pairs are lists."""
+        return {
+            name: value
+            for name, default in _FIELD_DEFAULTS
+            if (value := getattr(self, name)) != default
         }
-        if self.inference_count is not None:
-            out["inference_count"] = self.inference_count
-        if self.power_trace is not None:
-            out["power_trace"] = [[t, w] for t, w in self.power_trace]
-        if self.failed:
-            out["failed"] = True
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "EmissionRecord":
+        """The record a record file holds, its values taken as written.
+
+        stage, label and region must be strings, each amount a JSON
+        number (not true or false), `failed` a boolean and the power trace
+        number pairs; anything else raises ValidationError.
+        """
         trace = data.get("power_trace")
+        if trace is not None:
+            trace = tuple(_number_pair(pair) for pair in trace)
+        failed = data.get("failed", False)
+        if type(failed) is not bool:
+            raise ValidationError(f"failed must be true or false, got {failed!r}")
         return cls(
-            stage=data["stage"],
-            label=data["label"],
-            energy_kwh=float(data["energy_kwh"]),
-            duration_s=float(data["duration_s"]),
-            region=data["region"],
-            emissions_kg=float(data["emissions_kg"]),
+            stage=_string(data["stage"], "stage"),
+            label=_string(data["label"], "label"),
+            energy_kwh=_number(data["energy_kwh"], "energy_kwh"),
+            duration_s=_number(data["duration_s"], "duration_s"),
+            region=_string(data["region"], "region"),
+            emissions_kg=_number(data["emissions_kg"], "emissions_kg"),
             inference_count=data.get("inference_count"),
-            power_trace=(
-                tuple((float(t), float(w)) for t, w in trace)
-                if trace is not None
-                else None
-            ),
-            failed=bool(data.get("failed", False)),
+            power_trace=trace,
+            failed=failed,
         )
+
+
+# (name, default) of each record field, MISSING for those without one
+_FIELD_DEFAULTS = tuple((f.name, f.default) for f in fields(EmissionRecord))
+
+
+def _string(value, name: str) -> str:
+    if type(value) is not str:
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    # bool is an int subclass, but a JSON true or false is no amount
+    if type(value) is not float and type(value) is not int:
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _number_pair(pair) -> tuple[float, float]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValidationError(f"power_trace must hold (t, watts) pairs, got {pair!r}")
+    return _number(pair[0], "power_trace"), _number(pair[1], "power_trace")
 
 
 def _check_amount(name: str, value) -> None:

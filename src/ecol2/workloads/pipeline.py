@@ -117,7 +117,7 @@ def run_pipeline(
                 charge_work(clock, sample.work_points)
         # written after the stage closes, so the file writes are not charged
         if store is not None:
-            write_dataset(store.root / "dataset", workload, seed, base_spec, grid, samples)
+            write_dataset(store.dataset_dir, workload, seed, base_spec, grid, samples)
         with stage("embodied", "reference-solve"):
             charge_work(clock, reference.work_points)
         # development tries the model's basis and the reference's

@@ -121,3 +121,51 @@ def test_a_checkout_outside_git_is_refused(tmp_path, capsys):
     assert code == 2
     assert "not a git repository" in capsys.readouterr().err
     assert not out.exists()
+
+
+RUN_PY_STDOUT = """\
+# workload: fd-lifecycle
+# scratch: /x/perfbench/.scratch/fd-lifecycle-1
+# ops: 612
+# setup_samples: [0.1412, 0.1375, 0.1523]
+# op_quartiles_s: [0.046, 0.0471, 0.0489]
+# op failed: ops: 3 of them: no
+{"correct": true, "attempted": 615, "failed": 3, "metrics": {"setup_s": {"value": 0.1412, "unit": "s"}, "op_p50_s": {"value": 0.0471, "unit": "s"}}}
+"""
+
+
+def test_run_output_keeps_setup_samples_and_ops():
+    run = bench_pairs.parse_run(0, RUN_PY_STDOUT, "")
+    assert run == {
+        "correct": True, "attempted": 615, "failed": 3,
+        "metrics": {"setup_s": 0.1412, "op_p50_s": 0.0471},
+        "setup_samples": [0.1412, 0.1375, 0.1523], "ops": 612,
+    }
+
+
+def test_run_output_without_info_lines_has_only_the_result():
+    result = RUN_PY_STDOUT.splitlines()[-1]
+    assert set(bench_pairs.parse_run(0, result + "\n", "")) == {
+        "correct", "attempted", "failed", "metrics"}
+
+
+@pytest.mark.parametrize("code, stdout", ((1, RUN_PY_STDOUT), (0, ""), (0, "\n")))
+def test_failed_run_is_an_error_with_its_stderr(code, stdout):
+    run = bench_pairs.parse_run(code, stdout, "warming up\nerror: no op completed\n")
+    assert run == {"error": f"exit {code}: warming up\nerror: no op completed"}
+
+
+def test_pairs_default_to_ten(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    seeds = []
+    monkeypatch.setattr(bench_pairs, "environment", lambda sides: {})
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed: seeds.append(seed) or run(0.1))
+    out = tmp_path / "out.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "fd-lifecycle", "--seed", "5",
+                             "--out", str(out)]) == 0
+    assert sorted(set(seeds)) == list(range(5, 15))
+    assert len(seeds) == 20

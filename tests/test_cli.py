@@ -442,6 +442,53 @@ class TestScore:
         assert "bad.json" in err
 
 
+# record-file values of the wrong JSON type; each loaded before as
+# something else (true as 1 kg, "5" as 5.0, "no" as a failed run) or, for
+# a list region, made `regions` die with a TypeError
+WRONG_TYPES = [
+    ("emissions_kg", True),
+    ("energy_kwh", "5"),
+    ("duration_s", False),
+    ("failed", "no"),
+    ("failed", 0),
+    ("stage", ["operational"]),
+    ("label", 7),
+    ("region", ["CH"]),
+    ("power_trace", [[0.0, "50"]]),
+    ("power_trace", [[0.0, True]]),
+]
+
+
+class TestWrongTypesOnDisk:
+    def spoil(self, root, field, value):
+        store = LedgerStore(root)
+        store.record(make_record("operational", 1e-4, region="CH"))
+        path = Path(store.record(make_record("operational", 1e-4, region="CH",
+                                             label="spoiled")))
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPES)
+    def test_score_names_the_file(self, tmp_path, capsys, field, value):
+        path = self.spoil(tmp_path, field, value)
+        code, out, err = run_cli(capsys, "score", "--ledger", str(tmp_path), "--r", "0.01")
+        assert code == 2
+        assert err.startswith(f"error: corrupt record file {path}: ")
+        assert out == ""
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPES)
+    def test_regions_names_the_file(self, tmp_path, capsys, field, value):
+        path = self.spoil(tmp_path, field, value)
+        code, out, err = run_cli(capsys, "regions", "CH,ZA", "--ledger", str(tmp_path),
+                                 "--r", "0.01")
+        assert code == 2
+        assert err.startswith(f"error: corrupt record file {path}: ")
+        assert "Traceback" not in err
+        assert out == ""
+
+
 class TestBench:
     def bench(self, capsys, ledger, workload, *extra):
         return run_json(
@@ -582,6 +629,45 @@ class TestBench:
         assert str(held) in err
         assert out == ""
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_failed_run_file_publish_leaves_no_run_file(self, tmp_path, capsys, monkeypatch):
+        link = os.link
+
+        def refuse_run_file(src, dst):
+            if os.path.basename(dst) == "run.json":
+                raise PermissionError(13, "Permission denied", dst)
+            return link(src, dst)
+
+        monkeypatch.setattr(os, "link", refuse_run_file)
+        code, out, err = run_cli(
+            capsys, "bench", "advection", "--region", "CH", "--ledger", str(tmp_path)
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write the run file to ledger {tmp_path}: ")
+        assert out == ""
+        assert not (tmp_path / "run.json").exists()
+        assert list(tmp_path.rglob("*.json.tmp")) == []
+
+    def test_run_file_written_meanwhile_is_not_replaced(self, tmp_path, capsys, monkeypatch):
+        # another writer's run file lands while this bench runs: it is kept
+        # as it is, and this run fails
+        theirs = b'{"r": 0.5, "workload": "wave"}\n'
+        run_pipeline = cli.run_pipeline
+
+        def run_and_collide(*args, **kwargs):
+            result = run_pipeline(*args, **kwargs)
+            (tmp_path / "run.json").write_bytes(theirs)
+            return result
+
+        monkeypatch.setattr(cli, "run_pipeline", run_and_collide)
+        code, out, err = run_cli(
+            capsys, "bench", "advection", "--region", "CH", "--ledger", str(tmp_path)
+        )
+        assert code == 2
+        assert str(tmp_path / "run.json") in err
+        assert out == ""
+        assert (tmp_path / "run.json").read_bytes() == theirs
+        assert list(tmp_path.rglob("*.json.tmp")) == []
 
     def test_unpublished_record_does_not_block_bench(self, tmp_path, capsys):
         # readers skip a writer's *.json.tmp, and so does the check
@@ -836,6 +922,14 @@ class TestReport:
         rows, _ = run_json(capsys, "report", str(root))
         assert len(rows) == 1
         assert rows[0]["model"] == "pinns"
+
+    def test_dot_is_named_after_the_directory(self, tmp_path, capsys, monkeypatch):
+        root = self.build_roots(tmp_path)[0]
+        monkeypatch.chdir(root)
+        (dot,), _ = run_json(capsys, "report", ".")
+        (named,), _ = run_json(capsys, "report", str(root))
+        assert dot["model"] == named["model"] == "pinns"
+        assert dot == named
 
     def test_missing_run_file_rejected(self, tmp_path, capsys):
         build_fixture_store(tmp_path / "bare", (0.0, 1e-3, 1e-4, 1e-6))

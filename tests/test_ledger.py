@@ -410,3 +410,53 @@ class TestRecordFiles:
         with pytest.raises(LedgerError, match=re.escape(str(tmp_path))):
             store.record(make_record("operational", 1e-6))
         assert os.listdir(store.stage_dir("operational")) == []
+
+    def test_record_file_leaves_out_fields_at_their_defaults(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        plain = Path(store.record(make_record("operational", 1e-6)))
+        assert sorted(json.loads(plain.read_text())) == [
+            "duration_s", "emissions_kg", "energy_kwh", "label", "region", "stage"]
+        traced = EmissionRecord(stage="inference", label="x", energy_kwh=1e-6,
+                                duration_s=2.0, region="CH", emissions_kg=1e-8,
+                                power_trace=((0.0, 5.0), (2.0, 6.0)), failed=True)
+        data = json.loads(Path(store.record(traced)).read_text())
+        assert data["inference_count"] == 1
+        assert data["power_trace"] == [[0.0, 5.0], [2.0, 6.0]]
+        assert data["failed"] is True
+
+
+class TestRunFile:
+    ROW = {"workload": "advection", "r": 0.01, "alpha": 10.0, "n_infer": 2}
+
+    def test_published_whole_and_read_back(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        assert store.read_run() is None
+        store.write_run(self.ROW)
+        assert store.run_file.read_text() == json.dumps(self.ROW, sort_keys=True, indent=1) + "\n"
+        r, params, workload = store.read_run()
+        assert (r, params.alpha, params.beta, params.n_infer, workload) == (
+            0.01, 10.0, 100.0, 2, "advection")
+        assert os.listdir(tmp_path) == ["run.json"]
+
+    def test_existing_run_file_is_never_replaced(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        store.run_file.write_text("{}")
+        with pytest.raises(LedgerError, match=re.escape(str(store.run_file))):
+            store.write_run(self.ROW)
+        assert store.run_file.read_text() == "{}"
+        assert os.listdir(tmp_path) == ["run.json"]
+
+    def test_unwritable_ledger_is_a_ledger_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(LedgerError, match=re.escape(str(blocker))):
+            LedgerStore(blocker).write_run(self.ROW)
+
+    def test_held_lists_run_file_dataset_then_records(self, tmp_path):
+        store = LedgerStore(tmp_path)
+        assert store.held() == []
+        records = sorted(Path(store.record(make_record(stage, 1e-6)))
+                         for stage in ("operational", "embodied"))
+        store.dataset_dir.mkdir()
+        store.write_run(self.ROW)
+        assert store.held() == [store.run_file, store.dataset_dir, *records]

@@ -2,18 +2,21 @@
 """Paired benchmark runs of two checkouts, for a committed BENCH_*.json.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload spectral-lifecycle \\
-        --pairs 10 --seed 111 --out BENCH_28.json
+        --seed 111 --out BENCH_28.json
 
 PARENT and CHANGE are the roots of two git checkouts.  Each pair runs
 `perfbench/run.py --workload W --seed S --trace 0`, as it is in each
 checkout and for its own default run length, once in each, one after
 the other; the first pair starts with the parent and each later pair
 swaps the order, so drift in the machine's load falls on both sides
-alike.  Pair i runs at seed S + i on both sides.  --workload may be
-given more than once.  An existing --out file is extended: a workload
-named again is replaced, the others are kept.
+alike.  Each workload gets --pairs pairs (10 by default), and pair i
+runs at seed S + i on both sides.  --workload may be given more than
+once.  An existing --out file is extended: a workload named again is
+replaced, the others are kept.
 
-The file holds every run's metrics and, per workload and end-to-end
+The file holds every run's metrics, with the setup_samples (each
+process's setup time, of which setup_s is the median) and ops that
+run.py prints on its `# ` lines, and, per workload and end-to-end
 metric, the medians and quartiles of both sides, the median paired ratio
 (change / parent) with its quartiles, and how many pairs went each way.
 Each workload's entry also records its seeds, each side's run length
@@ -102,22 +105,37 @@ def _share(failed, attempted):
     return failed / attempted if attempted else None
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One perfbench run in checkout; its result line, or an error."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+# run.py's `# key: value` lines kept with each run
+_KEPT_INFO = ("setup_samples", "ops")
+
+
+def parse_run(returncode: int, stdout: str, stderr: str) -> dict:
+    """A run's entry from run.py's exit code and output: its result line
+    (the last) and the _KEPT_INFO values of its `# ` lines, or an error."""
+    lines = stdout.strip().splitlines()
+    if returncode != 0 or not lines:
+        return {"error": f"exit {returncode}: {stderr.strip()[-300:]}"}
     result = json.loads(lines[-1])
-    return {
+    run = {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+    for line in lines[:-1]:
+        key, _, value = line.removeprefix("# ").partition(": ")
+        if line.startswith("# ") and key in _KEPT_INFO:
+            run[key] = ast.literal_eval(value)
+    return run
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One perfbench run in checkout; its entry, as parse_run gives it."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True)
+    return parse_run(proc.returncode, proc.stdout, proc.stderr)
 
 
 def run_seconds(checkout: Path):
@@ -186,7 +204,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
