@@ -17,10 +17,10 @@ import os
 import signal
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from .errors import Ecol2Error, ValidationError
+from .errors import Ecol2Error, MetricError, ValidationError
 from .ingest import import_field_csv
 from .ledger import LedgerStore, aggregate, summarize
 from .metrics import CarbonLedger, EcoL2Params, ecol2, error_metrics
@@ -148,18 +148,18 @@ def _csv_cell(value):
 
 def emit(rows: list[dict], fmt: str) -> None:
     """Print rows; the columns are the first row's keys, in order."""
-    fields = list(rows[0])
+    columns = list(rows[0])
     if fmt == "json":
         sys.stdout.write(json.dumps(rows, sort_keys=True, indent=1) + "\n")
         return
     if fmt == "csv":
         writer = csv_mod.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(fields)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_csv_cell(row.get(f)) for f in fields])
+            writer.writerow([_csv_cell(row.get(c)) for c in columns])
         return
-    cells = [fields] + [[_table_cell(row.get(f)) for f in fields] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(fields))]
+    cells = [columns] + [[_table_cell(row.get(c)) for c in columns] for row in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
     for r in cells:
         sys.stdout.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
@@ -186,7 +186,7 @@ def _params(args, run=None) -> EcoL2Params:
     """Score parameters: each flag given on the command line, else the
     value of `run` (a stored run, as LedgerStore.read_run returns it),
     else the scorer's default."""
-    given = {"alpha": args.alpha, "beta": args.beta, "n_infer": args.n_infer}
+    given = {f.name: getattr(args, f.name) for f in fields(EcoL2Params)}
     stored = run[1] if run else EcoL2Params()
     return replace(stored, **{k: v for k, v in given.items() if v is not None})
 
@@ -205,10 +205,7 @@ def _scored_row(r, error, carbon: CarbonLedger, params: EcoL2Params, score) -> d
         "rmse": error.rmse if error else None,
         "max_error": error.max_error if error else None,
         "mae": error.mae if error else None,
-        "c_embodied": carbon.c_embodied,
-        "c_developmental": carbon.c_developmental,
-        "c_operational": carbon.c_operational,
-        "c_inference": carbon.c_inference,
+        **asdict(carbon),
         "c_total": carbon.total(params.n_infer),
         "ecol2": score.value,
         "inaccurate": score.inaccurate,
@@ -321,11 +318,13 @@ def cmd_score(args) -> int:
             )
         prediction = import_field_csv(args.prediction)
         reference = import_field_csv(args.reference)
-        report = error_metrics(prediction, reference)
-        if report.relative_l2 is None:
-            raise ValidationError(
-                "reference field has zero norm; relative error undefined"
-            )
+        try:
+            report = error_metrics(prediction, reference)
+            if report.relative_l2 is None:
+                raise MetricError("reference field has zero norm; relative error undefined")
+        except MetricError as err:
+            inputs = f"{', '.join(args.prediction)} against {args.reference}"
+            raise MetricError(f"{inputs}: {err}") from None
         r = report.relative_l2
     score = ecol2(r, carbon, params)
     row = _scored_row(r, report, carbon, params, score)
@@ -338,9 +337,7 @@ def _bench_row(result, args, params) -> dict:
         "seed": args.seed,
         "backend": BACKEND,
         "region": args.region,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "n_infer": params.n_infer,
+        **asdict(params),
         **_scored_row(
             result.error.relative_l2, result.error, result.carbon, params, result.score
         ),

@@ -27,11 +27,12 @@ import math
 import os
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import LedgerError, ValidationError
 from .metrics import CarbonLedger, EcoL2Params, ecol2
-from .tracking import STAGES, EmissionRecord
+from .tracking import STAGES, EmissionRecord, _string
 
 # bytes per os.read of a record file; a record is a few hundred bytes
 _READ_CHUNK = 1 << 16
@@ -141,9 +142,10 @@ class LedgerStore:
         """(r, score parameters, workload) of the run `bench` stored in this
         ledger, or None if there is none.
 
-        r, alpha, beta and n_infer (defaults for those absent) must pass the
-        scorer's own checks; a run file that fails them or is not a JSON
-        object raises ValidationError naming the file.
+        r and the score parameters (defaults for those absent) must pass
+        the scorer's own checks, and a workload must be a string; a run
+        file that fails them or is not a JSON object raises
+        ValidationError naming the file.
         """
         path = self.run_file
         if not path.is_file():
@@ -156,9 +158,11 @@ class LedgerStore:
             raise ValidationError(f"{path}: run file is not a JSON object")
         try:
             params = EcoL2Params(
-                **{k: stored[k] for k in ("alpha", "beta", "n_infer") if k in stored}
+                **{f.name: stored[f.name] for f in fields(EcoL2Params) if f.name in stored}
             )
             ecol2(stored.get("r"), CarbonLedger(), params)  # checks r's domain
+            if "workload" in stored:
+                _string(stored["workload"], "workload")
         except ValidationError as err:
             raise ValidationError(f"{path}: {err}") from None
         return stored["r"], params, stored.get("workload")
@@ -216,13 +220,8 @@ def summarize(records) -> CarbonLedger:
         for stage, recs in by_stage.items()
     }
     inf_count = sum(r.inference_count for r in by_stage["inference"])
-    c_inference = totals["inference"] / inf_count if inf_count else 0.0
-    return CarbonLedger(
-        c_embodied=totals["embodied"],
-        c_developmental=totals["developmental"],
-        c_operational=totals["operational"],
-        c_inference=c_inference,
-    )
+    totals["inference"] = totals["inference"] / inf_count if inf_count else 0.0
+    return CarbonLedger(**{f"c_{stage}": total for stage, total in totals.items()})
 
 
 def aggregate(store: LedgerStore) -> CarbonLedger:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class EcoL2Params:
 
 @dataclass(frozen=True)
 class CarbonLedger:
-    """Lifecycle emissions in kgCO2, one field per stage.
+    """Lifecycle emissions in kgCO2: c_<stage> per tracking.STAGES entry, in order.
 
     c_inference is the per-run cost; total() scales it by the number of
     inference passes.
@@ -72,10 +72,10 @@ class CarbonLedger:
     c_inference: float = 0.0
 
     def __post_init__(self):
-        for name in ("c_embodied", "c_developmental", "c_operational", "c_inference"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ParameterError(f"{name} must be finite and >= 0, got {v}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not _finite_real(v, f.name, ParameterError) >= 0:
+                raise ParameterError(f"{f.name} must be finite and >= 0, got {v}")
 
     def total(self, n_infer: int = 1) -> float:
         return (

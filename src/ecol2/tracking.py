@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import glob
 import math
+import numbers
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -44,11 +45,13 @@ class PowerModel:
             raise ParameterError(
                 f"power kind must be one of {POWER_KINDS}, got {self.kind!r}"
             )
+        watts = self.watts
         if self.kind != "sampled-hardware" and not (
-            self.watts is not None and math.isfinite(self.watts) and self.watts > 0
+            isinstance(watts, numbers.Real) and not isinstance(watts, bool)
+            and math.isfinite(watts) and watts > 0
         ):
             raise ParameterError(
-                f"{self.kind} power model needs finite watts > 0, got {self.watts}"
+                f"{self.kind} power model needs finite watts > 0, got {watts!r}"
             )
 
     @classmethod

@@ -150,13 +150,7 @@ def write_dataset(out_dir: Path, equation, seed, base_spec, grid, samples) -> No
         "equation": equation,
         "seed": seed,
         "count": len(samples),
-        "grid": {
-            "length": grid.length,
-            "nx": grid.nx,
-            "nt": grid.nt,
-            "t_final": grid.t_final,
-            "periodic": grid.periodic,
-        },
+        "grid": asdict(grid),
         "base_spec": asdict(base_spec),
     }
     (out_dir / "header.json").write_text(

@@ -410,6 +410,36 @@ class TestScore:
         assert "(5, 8)" in err and "(8,)" in err
         assert out == ""
 
+    def test_shape_mismatch_names_the_files(self, tmp_path, capsys):
+        pred = tmp_path / "p.csv"
+        pred.write_text("1.0\n2.0\n")
+        ref = tmp_path / "r.csv"
+        ref.write_text("1.0\n2.0\n3.0\n")
+        code, out, err = run_cli(
+            capsys, "score", "--ledger", str(tmp_path),
+            "--prediction", str(pred), "--reference", str(ref),
+        )
+        assert code == 1
+        assert err == (f"error: {pred} against {ref}: "
+                       "prediction shape (2,) does not match reference (3,)\n")
+        assert out == ""
+
+    def test_zero_norm_reference_names_the_files(self, tmp_path, capsys):
+        preds = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
+        for pred in preds:
+            pred.write_text("1.0\n2.0\n")
+        ref = tmp_path / "r.csv"
+        ref.write_text("0.0\n0.0\n")
+        code, out, err = run_cli(
+            capsys, "score", "--ledger", str(tmp_path),
+            "--prediction", str(preds[0]), "--prediction", str(preds[1]),
+            "--reference", str(ref),
+        )
+        assert code == 1
+        assert err == (f"error: {preds[0]}, {preds[1]} against {ref}: "
+                       "reference field has zero norm; relative error undefined\n")
+        assert out == ""
+
     def test_stored_n_infer_sets_c_total(self, tmp_path, capsys):
         # c_total does not depend on r, so a given r must not drop the
         # stored run's inference count
@@ -941,7 +971,9 @@ class TestReport:
                                          '{"r": null}', '["r", 0.01]', '{"r": NaN}',
                                          '{"r": 0.01, "alpha": "abc"}',
                                          '{"r": 0.01, "alpha": null}',
-                                         '{"r": 0.01, "n_infer": 2.7}'))
+                                         '{"r": 0.01, "n_infer": 2.7}',
+                                         '{"r": 0.01, "workload": ["kdv"]}',
+                                         '{"r": 0.01, "workload": null}'))
     def test_corrupt_or_r_less_run_file_rejected(self, tmp_path, capsys, content):
         root = self.build_roots(tmp_path)[0]
         (root / "run.json").write_text(content)

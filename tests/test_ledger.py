@@ -1,5 +1,6 @@
 """Record persistence: layout, round-trips, concurrent writers, aggregation algebra."""
 
+import dataclasses
 import errno
 import fcntl
 import json
@@ -25,6 +26,7 @@ from ecol2 import (
     aggregate,
     summarize,
 )
+from ecol2.tracking import STAGES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -237,6 +239,11 @@ class TestRoundTrip:
 
 
 class TestAggregation:
+    def test_carbon_fields_are_the_stages_in_order(self):
+        # summarize builds its CarbonLedger by these names
+        names = [f.name for f in dataclasses.fields(CarbonLedger)]
+        assert names == [f"c_{stage}" for stage in STAGES]
+
     def test_single_embodied_record(self, tmp_path):
         store = LedgerStore(tmp_path)
         store.record(make_record("embodied", 1.9e-4))

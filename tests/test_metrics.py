@@ -1,5 +1,6 @@
 """Metric math: numerator transform, score assembly, error metrics, sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -145,6 +146,17 @@ class TestScore:
             ecol2(r, CarbonLedger(c_operational=1e-4))
         with pytest.raises(DomainError):
             ecol2_numerator(r, 100.0)
+
+    @pytest.mark.parametrize("r", (1.0, 1.5, -1e-3))
+    def test_r_outside_score_domain(self, r):
+        with pytest.raises(DomainError, match=r"r must lie in \[0, 1\)"):
+            ecol2(r, CarbonLedger(c_operational=1e-4))
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CarbonLedger)])
+    @pytest.mark.parametrize("value", ("1e-3", None, True))
+    def test_non_number_component_raises_parameter_error(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
+            CarbonLedger(**{name: value})
 
     def test_negative_component_rejected(self):
         with pytest.raises(ValidationError):

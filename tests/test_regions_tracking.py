@@ -76,10 +76,12 @@ class TestPowerModel:
         with pytest.raises(ParameterError):
             PowerModel.parse(text)
 
-    @pytest.mark.parametrize("watts", (0.0, -5.0, None))
+    @pytest.mark.parametrize("watts", (0.0, -5.0, None, "50", True))
     def test_wattage_must_be_positive(self, watts):
         with pytest.raises(ParameterError):
             PowerModel(kind="synthetic-fixed", watts=watts)
+        with pytest.raises(ParameterError):
+            PowerModel.rated(watts)
 
 
 def run_fixed_session(watts, seconds, region, **kwargs):
@@ -268,6 +270,56 @@ class TestSampledSessions:
         with pytest.raises(TrackingError):
             EmissionSession("operational", PowerModel.sampled(), "CH",
                             clock=VirtualClock())
+
+
+class TestRaplReader:
+    """The powercap counters, read from a fake tree of domain directories."""
+
+    def domain(self, root, name, energy_uj, max_range_uj=None):
+        d = root / f"intel-rapl:{name}"
+        d.mkdir()
+        (d / "energy_uj").write_text(f"{energy_uj}\n")
+        if max_range_uj is not None:
+            (d / "max_energy_range_uj").write_text(f"{max_range_uj}\n")
+        return d
+
+    @pytest.fixture
+    def powercap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tracking, "_RAPL_GLOB", str(tmp_path / "intel-rapl:*"))
+        return tmp_path
+
+    def test_domains_are_summed(self, powercap):
+        self.domain(powercap, 0, 1_000_000, 10_000_000)
+        self.domain(powercap, 1, 500_000, 10_000_000)
+        read = tracking._hardware_energy_reader()
+        assert read() == 1.5
+
+    def test_counter_wrap_is_undone_by_the_range(self, powercap):
+        d = self.domain(powercap, 0, 9_000_000, 10_000_000)
+        self.domain(powercap, 1, 0, 10_000_000)
+        read = tracking._hardware_energy_reader()
+        assert read() == 9.0
+        (d / "energy_uj").write_text("1000000\n")
+        assert read() == 11.0
+        (d / "energy_uj").write_text("2000000\n")
+        assert read() == 12.0
+
+    def test_domain_without_a_range_is_not_unwrapped(self, powercap):
+        d = self.domain(powercap, 0, 9_000_000)
+        read = tracking._hardware_energy_reader()
+        assert read() == 9.0
+        (d / "energy_uj").write_text("1000000\n")
+        assert read() == 1.0
+
+    def test_unreadable_counter_means_no_reader(self, powercap):
+        self.domain(powercap, 0, 1_000_000, 10_000_000)
+        # a directory in the file's place: unreadable also to root
+        (powercap / "intel-rapl:1").mkdir()
+        (powercap / "intel-rapl:1" / "energy_uj").mkdir()
+        assert tracking._hardware_energy_reader() is None
+
+    def test_no_domains_means_no_reader(self, powercap):
+        assert tracking._hardware_energy_reader() is None
 
 
 class TestWhatIf:
