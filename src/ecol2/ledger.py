@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .errors import LedgerError, ValidationError
 from .metrics import CarbonLedger, EcoL2Params, ecol2
-from .tracking import STAGES, EmissionRecord, _string
+from .tracking import STAGES, EmissionRecord
 
 # bytes per os.read of a record file; a record is a few hundred bytes
 _READ_CHUNK = 1 << 16
@@ -161,8 +161,8 @@ class LedgerStore:
                 **{f.name: stored[f.name] for f in fields(EcoL2Params) if f.name in stored}
             )
             ecol2(stored.get("r"), CarbonLedger(), params)  # checks r's domain
-            if "workload" in stored:
-                _string(stored["workload"], "workload")
+            if type(stored.get("workload", "")) is not str:
+                raise ValidationError(f"workload must be a string, got {stored['workload']!r}")
         except ValidationError as err:
             raise ValidationError(f"{path}: {err}") from None
         return stored["r"], params, stored.get("workload")

@@ -111,10 +111,14 @@ class EcoL2Score:
 
 
 def _finite_real(x, name: str = "r", error: type = DomainError) -> float:
-    """x as a float, if it is a finite real number (numpy scalars too, bool not)."""
-    if not (isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)):
-        raise error(f"{name} must be a finite number, got {x!r}")
-    return float(x)
+    """x as a float, if it is a finite real number (numpy scalars too, bool
+    not); an int beyond the float range is not one."""
+    try:
+        if isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x):
+            return float(x)
+    except OverflowError:  # math.isfinite converts to float first
+        pass
+    raise error(f"{name} must be a finite number, got {x!r}")
 
 
 def ecol2_numerator(r: float, alpha: float) -> float:

@@ -14,8 +14,7 @@ kgCO2 through the regional grid intensity.  Three power sources:
 from __future__ import annotations
 
 import glob
-import math
-import numbers
+import sys
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -46,13 +45,10 @@ class PowerModel:
                 f"power kind must be one of {POWER_KINDS}, got {self.kind!r}"
             )
         watts = self.watts
-        if self.kind != "sampled-hardware" and not (
-            isinstance(watts, numbers.Real) and not isinstance(watts, bool)
-            and math.isfinite(watts) and watts > 0
-        ):
-            raise ParameterError(
-                f"{self.kind} power model needs finite watts > 0, got {watts!r}"
-            )
+        if self.kind == "sampled-hardware" and watts is not None:
+            raise ParameterError(f"a sampled power model takes no watts, got {watts!r}")
+        if self.kind != "sampled-hardware" and not (_is_amount(watts) and watts > 0):
+            raise ParameterError(f"{self.kind} power model needs finite watts > 0, got {watts!r}")
 
     @classmethod
     def sampled(cls) -> "PowerModel":
@@ -87,9 +83,11 @@ class PowerModel:
 class EmissionRecord:
     """One persisted measurement of a work unit.
 
+    Every field is checked here, for a record built in code and one read
+    from a file alike.  An amount, as each number of the power trace's
+    (t, watts) pairs, is a finite int or float >= 0, not a bool.
     inference_count is the number of inference passes the record covers:
-    only an inference record has one, an int >= 1, and 1 when none is
-    given.
+    only an inference record has one, an int >= 1, and 1 when none is given.
     """
 
     stage: str
@@ -105,9 +103,15 @@ class EmissionRecord:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValidationError(f"stage must be one of {STAGES}, got {self.stage!r}")
-        _check_amount("energy_kwh", self.energy_kwh)
-        _check_amount("duration_s", self.duration_s)
-        _check_amount("emissions_kg", self.emissions_kg)
+        if type(self.label) is not str:
+            raise ValidationError(f"label must be a string, got {self.label!r}")
+        if type(self.region) is not str:
+            raise ValidationError(f"region must be a string, got {self.region!r}")
+        # no loop over the names unless one fails: it costs more than the checks
+        if not (_is_amount(self.energy_kwh) and _is_amount(self.duration_s)
+                and _is_amount(self.emissions_kg)):
+            name = next(n for n in _AMOUNTS if not _is_amount(getattr(self, n)))
+            raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         count = self.inference_count
         if count is None:
             if self.stage == "inference":
@@ -116,6 +120,15 @@ class EmissionRecord:
             raise ValidationError("inference_count only applies to the inference stage")
         elif type(count) is not int or count < 1:
             raise ValidationError(f"inference_count must be an integer >= 1, got {count!r}")
+        trace = self.power_trace
+        if trace is not None and not (type(trace) is tuple and all(
+            type(p) is tuple and len(p) == 2 and _is_amount(p[0]) and _is_amount(p[1])
+            for p in trace
+        )):
+            raise ValidationError("power_trace must be None or a tuple of (t, watts) "
+                                  "tuples of finite numbers >= 0")
+        if type(self.failed) is not bool:
+            raise ValidationError(f"failed must be a bool, got {self.failed!r}")
 
     def to_dict(self) -> dict:
         """The record's fields, less those at their defaults; a record
@@ -128,57 +141,40 @@ class EmissionRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EmissionRecord":
-        """The record a record file holds, its values taken as written.
-
-        stage, label and region must be strings, each amount a JSON
-        number (not true or false), `failed` a boolean and the power trace
-        number pairs; anything else raises ValidationError.
-        """
-        trace = data.get("power_trace")
-        if trace is not None:
-            trace = tuple(_number_pair(pair) for pair in trace)
-        failed = data.get("failed", False)
-        if type(failed) is not bool:
-            raise ValidationError(f"failed must be true or false, got {failed!r}")
+        """The record a record file holds, its trace's JSON lists as tuples.
+        A missing key raises KeyError; a document that is no JSON object,
+        TypeError at "stage", the first key taken."""
         return cls(
-            stage=_string(data["stage"], "stage"),
-            label=_string(data["label"], "label"),
-            energy_kwh=_number(data["energy_kwh"], "energy_kwh"),
-            duration_s=_number(data["duration_s"], "duration_s"),
-            region=_string(data["region"], "region"),
-            emissions_kg=_number(data["emissions_kg"], "emissions_kg"),
+            stage=data["stage"],
+            label=data["label"],
+            energy_kwh=data["energy_kwh"],
+            duration_s=data["duration_s"],
+            region=data["region"],
+            emissions_kg=data["emissions_kg"],
             inference_count=data.get("inference_count"),
-            power_trace=trace,
-            failed=failed,
+            power_trace=_tuples(data.get("power_trace")),
+            failed=data.get("failed", False),
         )
 
 
 # (name, default) of each record field, MISSING for those without one
 _FIELD_DEFAULTS = tuple((f.name, f.default) for f in fields(EmissionRecord))
+_AMOUNTS = ("energy_kwh", "duration_s", "emissions_kg")
+
+# `0 <= x <= _FLOAT_MAX` is False for NaN, +-inf and an int beyond the float range
+_FLOAT_MAX = sys.float_info.max
 
 
-def _string(value, name: str) -> str:
-    if type(value) is not str:
-        raise ValidationError(f"{name} must be a string, got {value!r}")
-    return value
+def _is_amount(x) -> bool:
+    """Whether x is a finite int or float >= 0 (numpy's float64 too), not a bool."""
+    return isinstance(x, (int, float)) and type(x) is not bool and 0 <= x <= _FLOAT_MAX
 
 
-def _number(value, name: str) -> float:
-    # bool is an int subclass, but a JSON true or false is no amount
-    if type(value) is not float and type(value) is not int:
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _number_pair(pair) -> tuple[float, float]:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValidationError(f"power_trace must hold (t, watts) pairs, got {pair!r}")
-    return _number(pair[0], "power_trace"), _number(pair[1], "power_trace")
-
-
-def _check_amount(name: str, value) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+def _tuples(trace):
+    """A JSON power trace's lists as tuples; any other value as it is."""
+    if type(trace) is not list:
+        return trace
+    return tuple(tuple(p) if type(p) is list else p for p in trace)
 
 
 def emissions_kg_from_energy(energy_kwh: float, intensity_g_per_kwh: float) -> float:

@@ -474,7 +474,8 @@ class TestScore:
 
 # record-file values of the wrong JSON type; each loaded before as
 # something else (true as 1 kg, "5" as 5.0, "no" as a failed run) or, for
-# a list region, made `regions` die with a TypeError
+# a list region, made `regions` die with a TypeError; an amount beyond the
+# float range raised OverflowError
 WRONG_TYPES = [
     ("emissions_kg", True),
     ("energy_kwh", "5"),
@@ -486,6 +487,7 @@ WRONG_TYPES = [
     ("region", ["CH"]),
     ("power_trace", [[0.0, "50"]]),
     ("power_trace", [[0.0, True]]),
+    pytest.param("emissions_kg", 10**400, id="emissions_kg-int-beyond-float"),
 ]
 
 
@@ -973,7 +975,9 @@ class TestReport:
                                          '{"r": 0.01, "alpha": null}',
                                          '{"r": 0.01, "n_infer": 2.7}',
                                          '{"r": 0.01, "workload": ["kdv"]}',
-                                         '{"r": 0.01, "workload": null}'))
+                                         '{"r": 0.01, "workload": null}',
+                                         pytest.param('{"r": 0.01, "alpha": 1' + "0" * 400 + "}",
+                                                      id="alpha-int-beyond-float")))
     def test_corrupt_or_r_less_run_file_rejected(self, tmp_path, capsys, content):
         root = self.build_roots(tmp_path)[0]
         (root / "run.json").write_text(content)

@@ -13,7 +13,10 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecol2.ledger as ledger
 from conftest import STAGE_ORDER, make_record
@@ -36,6 +39,47 @@ STAGE_DIRS = {
     "operational": "Operational",
     "inference": "Inference",
 }
+
+
+# an amount the record takes: a finite int or float >= 0, numpy's float64 too
+AMOUNTS = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.just(-0.0),
+    st.integers(min_value=0, max_value=int(sys.float_info.max)),
+    st.floats(min_value=0.0, allow_infinity=False).map(np.float64),
+)
+# values of other kinds, nearly all of which the record refuses
+OTHER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(), st.floats(),
+    st.just(10**400), st.lists(st.tuples(AMOUNTS, AMOUNTS), max_size=2),
+    st.lists(st.lists(AMOUNTS, max_size=3), max_size=2),
+    st.tuples(st.one_of(AMOUNTS, st.booleans(), st.text(max_size=2))),
+)
+
+
+def record_keywords(mixed: bool):
+    """Constructor keywords of a record; with `mixed`, any field may be
+    drawn from OTHER_VALUES instead."""
+    def field(values):
+        return st.one_of(values, OTHER_VALUES) if mixed else values
+
+    trace = st.none() | st.lists(st.tuples(AMOUNTS, AMOUNTS), max_size=4).map(tuple)
+    return st.sampled_from(STAGES).flatmap(lambda stage: st.fixed_dictionaries({
+        "stage": field(st.just(stage)),
+        "label": field(st.text()),
+        "energy_kwh": field(AMOUNTS),
+        "duration_s": field(AMOUNTS),
+        "region": field(st.text()),
+        "emissions_kg": field(AMOUNTS),
+        "inference_count": field(
+            st.none() | st.integers(1, 10**6) if stage == "inference" else st.none()),
+        "power_trace": field(trace),
+        "failed": field(st.booleans()),
+    }))
+
+
+def json_round_trip(rec):
+    return EmissionRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
 
 
 def random_record(rng, stage=None):
@@ -140,6 +184,36 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             EmissionRecord(**dict(fields, **{field: value}))
 
+    # each taken before, and written: the first four then made every read
+    # of their stage fail, label=5 failed the write, 10**400 raised
+    # OverflowError, and a list trace read back as tuples, unequal
+    @pytest.mark.parametrize("field, value", (
+        ("energy_kwh", True), ("region", None), ("failed", "no"),
+        ("power_trace", ((0.0, "x"),)), ("label", 5),
+        pytest.param("emissions_kg", 10**400, id="emissions_kg-int-beyond-float"),
+        ("power_trace", [(0.0, 50.0)]),
+    ))
+    def test_constructor_refuses_what_a_read_would(self, field, value):
+        fields = dict(stage="operational", label="x", energy_kwh=1.0,
+                      duration_s=1.0, region="CH", emissions_kg=1e-3)
+        with pytest.raises(ValidationError, match=field):
+            EmissionRecord(**dict(fields, **{field: value}))
+
+    @given(record_keywords(mixed=False))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_record_reads_back_equal(self, keywords):
+        rec = EmissionRecord(**keywords)
+        assert json_round_trip(rec) == rec
+
+    @given(record_keywords(mixed=True))
+    @settings(max_examples=200, deadline=None)
+    def test_record_is_refused_or_reads_back_equal(self, keywords):
+        try:
+            rec = EmissionRecord(**keywords)
+        except ValidationError:
+            return
+        assert json_round_trip(rec) == rec
+
     @pytest.mark.parametrize("count", (-1, 0, 2.5, True, "3"))
     def test_inference_count_must_be_a_positive_int(self, count):
         with pytest.raises(ValidationError, match="inference_count"):
@@ -181,7 +255,11 @@ class TestRoundTrip:
         lambda b: b"\xef\xbb\xbf" + b,  # UTF-8 BOM
         lambda b: b.decode("utf-8").encode("utf-16"),
         lambda b: b.decode("utf-8").encode("utf-16-le"),
-    ], ids=["json", "utf-8", "bom", "utf-16", "utf-16-le"])
+        # documents that are no JSON object raised AttributeError, naming no file
+        lambda b: b"[1, 2]",
+        lambda b: b'"operational"',
+        lambda b: b"null",
+    ], ids=["json", "utf-8", "bom", "utf-16", "utf-16-le", "array", "string", "null"])
     def test_undecodable_file_named_in_error(self, tmp_path, spoil):
         store = LedgerStore(tmp_path)
         path = Path(store.record(make_record("operational", 1e-4)))

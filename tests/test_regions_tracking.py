@@ -4,6 +4,7 @@ import dataclasses
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import ecol2.tracking as tracking
@@ -76,12 +77,31 @@ class TestPowerModel:
         with pytest.raises(ParameterError):
             PowerModel.parse(text)
 
-    @pytest.mark.parametrize("watts", (0.0, -5.0, None, "50", True))
+    # 10**400 raised OverflowError; a numpy float32 wattage was taken, and
+    # every session on it then failed at stop with a float32 energy
+    @pytest.mark.parametrize("watts", (
+        0.0, -5.0, None, "50", True,
+        pytest.param(10**400, id="int-beyond-float"), pytest.param(np.float32(50.0), id="float32"),
+    ))
     def test_wattage_must_be_positive(self, watts):
         with pytest.raises(ParameterError):
             PowerModel(kind="synthetic-fixed", watts=watts)
         with pytest.raises(ParameterError):
             PowerModel.rated(watts)
+
+    @pytest.mark.parametrize("watts", (50.0, "50", 0.0))
+    def test_sampled_model_takes_no_wattage(self, watts):
+        with pytest.raises(ParameterError, match="takes no watts"):
+            PowerModel(kind="sampled-hardware", watts=watts)
+
+    def test_float64_wattage_keeps_its_type(self):
+        clock = VirtualClock()
+        session = start_session("operational", PowerModel.rated(np.float64(50.0)), "CH",
+                                clock=clock)
+        clock.advance(7200.0)
+        rec = stop_session(session)
+        assert type(rec.energy_kwh) is np.float64
+        assert rec.energy_kwh == pytest.approx(0.1, rel=1e-12)
 
 
 def run_fixed_session(watts, seconds, region, **kwargs):
