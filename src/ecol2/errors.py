@@ -5,6 +5,21 @@ configuration); every other Ecol2Error maps to exit code 2 (runtime failure).
 """
 
 
+def shown(value) -> str:
+    """repr(value) for an error message.
+
+    An int with more digits than Python prints (sys.get_int_max_str_digits,
+    4,300 by default) shows as its bit length, so that the message is
+    still the error it was meant to be, not a ValueError from repr.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        raise
+
+
 class Ecol2Error(Exception):
     pass
 

@@ -30,7 +30,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import LedgerError, ValidationError
+from .errors import LedgerError, ValidationError, shown
 from .metrics import CarbonLedger, EcoL2Params, ecol2
 from .tracking import STAGES, EmissionRecord
 
@@ -152,7 +152,8 @@ class LedgerStore:
             return None
         try:
             stored = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        # JSON nested deeper than the recursion limit raises RecursionError
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
             raise ValidationError(f"{path}: unreadable run file: {err}") from None
         if not isinstance(stored, dict):
             raise ValidationError(f"{path}: run file is not a JSON object")
@@ -162,7 +163,7 @@ class LedgerStore:
             )
             ecol2(stored.get("r"), CarbonLedger(), params)  # checks r's domain
             if type(stored.get("workload", "")) is not str:
-                raise ValidationError(f"workload must be a string, got {stored['workload']!r}")
+                raise ValidationError(f"workload must be a string, got {shown(stored['workload'])}")
         except ValidationError as err:
             raise ValidationError(f"{path}: {err}") from None
         return stored["r"], params, stored.get("workload")
@@ -191,7 +192,8 @@ class LedgerStore:
                 # decoded first: json.loads would also take UTF-16 or a BOM
                 data = json.loads(_read_bytes(path).decode("utf-8"))
                 rec = EmissionRecord.from_dict(data)
-            except (OSError, ValueError, KeyError, TypeError, ValidationError) as err:
+            except (OSError, ValueError, KeyError, TypeError, RecursionError,
+                    ValidationError) as err:
                 raise LedgerError(f"corrupt record file {path}: {err}") from err
             if rec.stage != stage:
                 raise LedgerError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, MetricError, ParameterError
+from .errors import DomainError, MetricError, ParameterError, shown
 
 # Accuracy weights in [ALPHA_LO, ALPHA_HI] keep the score inside (0, 1)
 # for r < 0.1; values outside are legal but flagged.
@@ -118,7 +118,7 @@ def _finite_real(x, name: str = "r", error: type = DomainError) -> float:
             return float(x)
     except OverflowError:  # math.isfinite converts to float first
         pass
-    raise error(f"{name} must be a finite number, got {x!r}")
+    raise error(f"{name} must be a finite number, got {shown(x)}")
 
 
 def ecol2_numerator(r: float, alpha: float) -> float:
@@ -129,7 +129,8 @@ def ecol2_numerator(r: float, alpha: float) -> float:
     r = _finite_real(r)
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
-    if not (math.isfinite(alpha) and alpha > 1.0):
+    alpha = _finite_real(alpha, "alpha", ParameterError)
+    if not alpha > 1.0:
         # alpha <= 1 flips or degenerates the log base and the term leaves (0, 1)
         raise ParameterError(f"alpha must be > 1 (log base), got {alpha}")
     return 1.0 - math.exp(math.log(r) / math.log(alpha))

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import Callable
 
-from .errors import ParameterError, RegionError, TrackingError, ValidationError
+from .errors import ParameterError, RegionError, TrackingError, ValidationError, shown
 from .regions import RegionRegistry, default_registry
 
 STAGES = ("embodied", "developmental", "operational", "inference")
@@ -42,13 +42,14 @@ class PowerModel:
     def __post_init__(self):
         if self.kind not in POWER_KINDS:
             raise ParameterError(
-                f"power kind must be one of {POWER_KINDS}, got {self.kind!r}"
+                f"power kind must be one of {POWER_KINDS}, got {shown(self.kind)}"
             )
         watts = self.watts
         if self.kind == "sampled-hardware" and watts is not None:
-            raise ParameterError(f"a sampled power model takes no watts, got {watts!r}")
+            raise ParameterError(f"a sampled power model takes no watts, got {shown(watts)}")
         if self.kind != "sampled-hardware" and not (_is_amount(watts) and watts > 0):
-            raise ParameterError(f"{self.kind} power model needs finite watts > 0, got {watts!r}")
+            raise ParameterError(
+                f"{self.kind} power model needs finite watts > 0, got {shown(watts)}")
 
     @classmethod
     def sampled(cls) -> "PowerModel":
@@ -102,16 +103,17 @@ class EmissionRecord:
 
     def __post_init__(self):
         if self.stage not in STAGES:
-            raise ValidationError(f"stage must be one of {STAGES}, got {self.stage!r}")
+            raise ValidationError(f"stage must be one of {STAGES}, got {shown(self.stage)}")
         if type(self.label) is not str:
-            raise ValidationError(f"label must be a string, got {self.label!r}")
+            raise ValidationError(f"label must be a string, got {shown(self.label)}")
         if type(self.region) is not str:
-            raise ValidationError(f"region must be a string, got {self.region!r}")
+            raise ValidationError(f"region must be a string, got {shown(self.region)}")
         # no loop over the names unless one fails: it costs more than the checks
         if not (_is_amount(self.energy_kwh) and _is_amount(self.duration_s)
                 and _is_amount(self.emissions_kg)):
             name = next(n for n in _AMOUNTS if not _is_amount(getattr(self, n)))
-            raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+            raise ValidationError(
+                f"{name} must be finite and >= 0, got {shown(getattr(self, name))}")
         count = self.inference_count
         if count is None:
             if self.stage == "inference":
@@ -119,7 +121,7 @@ class EmissionRecord:
         elif self.stage != "inference":
             raise ValidationError("inference_count only applies to the inference stage")
         elif type(count) is not int or count < 1:
-            raise ValidationError(f"inference_count must be an integer >= 1, got {count!r}")
+            raise ValidationError(f"inference_count must be an integer >= 1, got {shown(count)}")
         trace = self.power_trace
         if trace is not None and not (type(trace) is tuple and all(
             type(p) is tuple and len(p) == 2 and _is_amount(p[0]) and _is_amount(p[1])
@@ -128,7 +130,7 @@ class EmissionRecord:
             raise ValidationError("power_trace must be None or a tuple of (t, watts) "
                                   "tuples of finite numbers >= 0")
         if type(self.failed) is not bool:
-            raise ValidationError(f"failed must be a bool, got {self.failed!r}")
+            raise ValidationError(f"failed must be a bool, got {shown(self.failed)}")
 
     def to_dict(self) -> dict:
         """The record's fields, less those at their defaults; a record
@@ -281,7 +283,7 @@ class EmissionSession:
         clock=None,
     ):
         if stage not in STAGES:
-            raise ValidationError(f"stage must be one of {STAGES}, got {stage!r}")
+            raise ValidationError(f"stage must be one of {STAGES}, got {shown(stage)}")
         intensity = (registry or default_registry()).lookup(region)
         if clock is not None and power.kind == "sampled-hardware":
             raise TrackingError("sampled sessions run on the wall clock only")

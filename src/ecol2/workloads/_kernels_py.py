@@ -34,49 +34,82 @@ def _fft_gufuncs():
     return _pocketfft_umath.irfft, _pocketfft_umath.rfft_n_even
 
 
-def spectral_evolve(v, e_half, e_full, phi, nsub):
-    """Advance a half-spectrum state nsub ETDRK4 steps.
+def spectral_evolve(v, e_half, e_full, phi, nsub, history, taken):
+    """Advance a half-spectrum state nsub ETD-AB4 steps.
 
     v is the rfft of a real field of n points (n/2 + 1 modes); e_half and
-    e_full are exp(L h/2) and exp(L h) for the linear symbol L and step h;
-    phi stacks the weights Q, f1, f2 and f3 of Kassam & Trefethen's
-    ETDRK4, each already multiplied by the dealiased -i k / 2 of the
-    conservative nonlinear term -(u^2/2)_x.  So phi[..., 0] == 0 and the
-    mean mode never moves.
+    e_full are exp(L h/2) and exp(L h) for the linear symbol L and step h.
+    A step of ETD-AB4, the exponential Adams-Bashforth method of order 4
+    (Cox & Matthews, J. Comput. Phys. 176, 2002), is
 
-    Transforms run along the last axis.  A (count, m) stack of states
-    with (4, count, m) weight rows advances each row exactly as a one-row
-    call on it would, bit for bit.
+        v_{n+1} = e_full v_n + b0 N_n + b1 N_{n-1} + b2 N_{n-2} + b3 N_{n-3}
+
+    with N_n = rfft(irfft(v_n, n) ** 2), one nonlinear evaluation a step.
+    history stacks N_{n-1}, N_{n-2} and N_{n-3}, and taken counts the
+    steps taken so far.  A row that has taken fewer than three takes
+    Kassam & Trefethen's ETDRK4 step instead, which fills its history.
+    phi stacks ETDRK4's weights Q, f1, f2, f3 and then b0 .. b3, each
+    already multiplied by the dealiased -i k / 2 of the conservative
+    nonlinear term -(u^2/2)_x.  So phi[..., 0] == 0 and the mean mode
+    never moves.  Returns the state and its history after the steps.
+
+    Transforms run along the last axis.  A (count, m) stack of states with
+    (8, count, m) weights, a (3, count, m) history and count step counts
+    that do not rise along the rows advances each row exactly as a
+    one-row call on it would, bit for bit.
     """
-    q, f1, f2, f3 = phi
+    q, f1, f2, f3, b0, b1, b2, b3 = phi
     irfft, rfft = _fft_gufuncs()
     v = np.array(v, dtype=np.complex128, copy=True)
+    taken = np.asarray(taken)
     # the physical field of each nonlinear term rfft(irfft(w, n) ** 2);
     # squaring in place gives the bits of ** 2, and each rfft gets a fresh
-    # output, since nv, na, nb and nc all live to the end of the step
+    # output, since the terms outlive the step
     n = 2 * (v.shape[-1] - 1)
     inv_n = 1.0 / n
     x = np.empty(v.shape[:-1] + (n,))
 
-    def nonlinear(w):
+    def nonlinear(w, x):
         irfft(w, inv_n, axes=_AXES, out=x)
         np.square(x, out=x)
         return rfft(x, 1.0, axes=_AXES, out=np.empty_like(w))
 
-    # e_half * v serves both a and b, and doubling is exact, so hoisting it
-    # and 2 f2 keeps every result bit for bit
-    f2_2 = 2.0 * f2
-    for _ in range(nsub):
-        nv = nonlinear(v)
-        ev = e_half * v
-        a = ev + q * nv
-        na = nonlinear(a)
-        b = ev + q * na
-        nb = nonlinear(b)
-        c = e_half * a + q * (2.0 * nb - nv)
-        nc = nonlinear(c)
-        v = e_full * v + f1 * nv + f2_2 * (na + nb) + f3 * nc
-    return v
+    def etdrk4(w, nw, rows):
+        """ETDRK4 from state w of the rows `rows`, whose nonlinear term is nw."""
+        xr, eh, qr = x[rows], e_half[rows], q[rows]
+        # e_half * w serves both a and b; hoisting it keeps every bit
+        ew = eh * w
+        a = ew + qr * nw
+        na = nonlinear(a, xr)
+        b = ew + qr * na
+        nb = nonlinear(b, xr)
+        c = eh * a + qr * (2.0 * nb - nw)
+        nc = nonlinear(c, xr)
+        return e_full[rows] * w + f1[rows] * nw + 2.0 * f2[rows] * (na + nb) + f3[rows] * nc
+
+    n1, n2, n3 = history
+    product = np.empty_like(v)
+    # the steps in which some row still starts up.  taken does not rise
+    # along the rows, so its last entry is the fewest, and the rows with
+    # fewer than three steps are a trailing block
+    startup = 3 - int(taken.flat[-1])
+    for s in range(nsub):
+        nv = nonlinear(v, x)
+        # e_full v + b0 N_n + ... + b3 N_{n-3}, summed left to right in
+        # place, which gives the same bits with fewer temporaries
+        stepped = e_full * v
+        for b, term in ((b0, nv), (b1, n1), (b2, n2), (b3, n3)):
+            stepped += np.multiply(b, term, out=product)
+        if s < startup:
+            # a 1-D state is one row, and there ready is 0 and [0:] all of it
+            ready = np.count_nonzero(taken + s >= 3)
+            if ready < taken.size:
+                stepped[ready:] = etdrk4(v[ready:], nv[ready:], slice(ready, None))
+        v = stepped
+        n1, n2, n3 = nv, n1, n2
+    history = np.empty((3,) + v.shape, dtype=np.complex128)
+    history[0], history[1], history[2] = n1, n2, n3
+    return v, history
 
 
 def to_physical(v):

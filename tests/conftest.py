@@ -1,4 +1,4 @@
-"""Shared fixtures: scorecard rows, ledger builders and the np.fft ETDRK4 step.
+"""Shared fixtures: scorecard rows, ledger builders and the np.fft spectral step.
 
 GOLDEN_ROWS pins previously reported scores for fifteen solver runs
 (five equations x three solver families).  Each row carries the run's
@@ -72,24 +72,44 @@ def write_fields_for_r(tmpdir, r, tag=""):
     return pred, ref
 
 
-def evolve_unhoisted(v, e_half, e_full, phi, nsub):
-    """ETDRK4 as written out by Kassam & Trefethen, through np.fft.
+def evolve_reference(v, e_half, e_full, phi, nsub, history, taken):
+    """ETD-AB4 started by ETDRK4, row by row as written out, through np.fft.
 
-    The reference that kernels.spectral_evolve must equal bit for bit.
+    A row that has taken fewer than three steps takes ETDRK4 as written
+    out by Kassam & Trefethen, later ones ETD-AB4 as written out by Cox &
+    Matthews.  The reference that kernels.spectral_evolve must equal bit
+    for bit; it returns the state and the history of nonlinear terms.
     """
-    q, f1, f2, f3 = phi
+    q, f1, f2, f3, b0, b1, b2, b3 = phi
     n = 2 * (np.shape(v)[-1] - 1)
     v = np.array(v, dtype=np.complex128, copy=True)
-    for _ in range(nsub):
-        nv = np.fft.rfft(np.fft.irfft(v, n) ** 2)
-        a = e_half * v + q * nv
-        na = np.fft.rfft(np.fft.irfft(a, n) ** 2)
-        b = e_half * v + q * na
-        nb = np.fft.rfft(np.fft.irfft(b, n) ** 2)
-        c = e_half * a + q * (2.0 * nb - nv)
-        nc = np.fft.rfft(np.fft.irfft(c, n) ** 2)
-        v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
-    return v
+    history = np.array(history, dtype=np.complex128, copy=True)
+
+    def nonlinear(w):
+        return np.fft.rfft(np.fft.irfft(w, n) ** 2)
+
+    for row in np.ndindex(v.shape[:-1]):
+        w = v[row]
+        n1, n2, n3 = (h[row].copy() for h in history)
+        for s in range(nsub):
+            nw = nonlinear(w)
+            if np.asarray(taken)[row] + s >= 3:
+                w = (e_full[row] * w + b0[row] * nw + b1[row] * n1
+                     + b2[row] * n2 + b3[row] * n3)
+            else:
+                a = e_half[row] * w + q[row] * nw
+                na = nonlinear(a)
+                b = e_half[row] * w + q[row] * na
+                nb = nonlinear(b)
+                c = e_half[row] * a + q[row] * (2.0 * nb - nw)
+                nc = nonlinear(c)
+                w = (e_full[row] * w + f1[row] * nw + 2.0 * f2[row] * (na + nb)
+                     + f3[row] * nc)
+            n1, n2, n3 = nw, n1, n2
+        v[row] = w
+        for h, term in zip(history, (n1, n2, n3)):
+            h[row] = term
+    return v, history
 
 
 @pytest.fixture

@@ -166,6 +166,25 @@ class TestRoundTrip:
         with pytest.raises(LedgerError, match=str(path.name)):
             store.read_stage("operational")
 
+    def test_nested_beyond_recursion_limit_named_in_error(self, tmp_path):
+        # json.loads raises RecursionError, which the read let through
+        store = LedgerStore(tmp_path)
+        path = Path(store.record(make_record("operational", 1e-4)))
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(LedgerError, match=f"corrupt record file .*{path.name}"):
+            store.read_stage("operational")
+
+    def test_int_too_long_to_print_is_named_by_bit_length(self):
+        # repr of an int of more than 4,300 digits raises ValueError, which
+        # took the place of the ValidationError
+        fields = dict(stage="operational", label="x", energy_kwh=1.0,
+                      duration_s=1.0, region="CH", emissions_kg=10**5000)
+        with pytest.raises(ValidationError, match="emissions_kg must be finite and >= 0, "
+                                                  "got an int of 16610 bits"):
+            EmissionRecord(**fields)
+        with pytest.raises(ValidationError, match="label must be a string, got an int of"):
+            EmissionRecord(**dict(fields, emissions_kg=1.0, label=10**5000))
+
     def test_non_finite_value_named_in_error(self, tmp_path):
         store = LedgerStore(tmp_path)
         path = Path(store.record(make_record("operational", 1e-4)))

@@ -45,7 +45,9 @@ class TestNumerator:
         with pytest.raises((DomainError, ParameterError)):
             ecol2_numerator(r, 100.0)
 
-    @pytest.mark.parametrize("alpha", (1.0, 0.5, 0.0, -3.0, float("nan")))
+    # an int beyond the float range raised OverflowError from math.isfinite
+    @pytest.mark.parametrize("alpha", (1.0, 0.5, 0.0, -3.0, float("nan"),
+                                       pytest.param(10**400, id="int-beyond-float")))
     def test_degenerate_log_base(self, alpha):
         with pytest.raises(ParameterError):
             ecol2_numerator(1e-3, alpha)
@@ -126,6 +128,14 @@ class TestScore:
     def test_non_number_weights_raise_parameter_error(self, name, value):
         with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
             EcoL2Params(**{name: value})
+
+    def test_int_too_long_to_print_is_named_by_bit_length(self):
+        # repr of an int of more than 4,300 digits raises ValueError, which
+        # took the place of the intended error
+        with pytest.raises(DomainError, match="r must be a finite number, got an int of 16610 bits"):
+            ecol2(10**5000, CarbonLedger())
+        with pytest.raises(ParameterError, match="alpha must be a finite number, got an int of"):
+            EcoL2Params(alpha=10**5000)
 
     def test_bool_n_infer_rejected(self):
         for flag in (True, False):

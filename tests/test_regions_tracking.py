@@ -89,6 +89,14 @@ class TestPowerModel:
         with pytest.raises(ParameterError):
             PowerModel.rated(watts)
 
+    def test_int_too_long_to_print_is_named_by_bit_length(self):
+        # repr of an int of more than 4,300 digits raises ValueError, which
+        # took the place of the ParameterError
+        with pytest.raises(ParameterError, match="needs finite watts > 0, got an int of 16610 bits"):
+            PowerModel.fixed(10**5000)
+        with pytest.raises(ParameterError, match="takes no watts, got an int of 16610 bits"):
+            PowerModel(kind="sampled-hardware", watts=10**5000)
+
     @pytest.mark.parametrize("watts", (50.0, "50", 0.0))
     def test_sampled_model_takes_no_wattage(self, watts):
         with pytest.raises(ParameterError, match="takes no watts"):

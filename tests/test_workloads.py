@@ -40,7 +40,7 @@ from ecol2.workloads.datasets import write_dataset
 from ecol2.workloads import pipeline as pipeline_module
 from ecol2.workloads import _kernels_py, spectral as spectral_module
 
-from conftest import evolve_unhoisted
+from conftest import evolve_reference
 
 
 def rel_l2(a, b):
@@ -411,39 +411,39 @@ class TestSpectralBatch:
     # the blow-up is reported by the SolverError alone, not by numpy warnings
     @pytest.mark.filterwarnings("error")
     def test_blow_up_names_lowest_row_at_first_failing_time(self):
-        # alone, amplitude 5 blows up by t = 4, amplitudes 10 and 15 by t = 2
+        # alone, amplitude 5 blows up by t = 5, amplitudes 15 and 20 by t = 2
         grid = Grid1D(length=64.0, nx=64, nt=11, t_final=10.0)
         wave = np.sin(2.0 * np.pi * grid.x / grid.length)
-        u0s = np.stack([a * wave for a in (0.1, 5.0, 10.0, 15.0)])
+        u0s = np.stack([a * wave for a in (0.1, 5.0, 15.0, 20.0)])
         with pytest.raises(SolverError, match=r"blew up by t = 2 ") as info:
             spectral_solve_batch("kdv", u0s, grid, dt=0.5, modes=[64] * 4)
         assert info.value.row == 2
 
     def test_blow_up_names_caller_row_when_step_order_differs(self, monkeypatch):
-        # nsub 36/108/36/144: rows step in the order 3, 1, 0, 2, and rows 1
+        # nsub 46/138/46/183: rows step in the order 3, 1, 0, 2, and rows 1
         # and 3 both pass the lowered limit at the first output time
         grid = Grid1D(length=64.0, nx=64, nt=6, t_final=1.0)
         wave = np.sin(2.0 * np.pi * grid.x / grid.length)
         u0s = np.stack([a * wave for a in (0.5, 3.0, 0.2, 4.0)])
-        assert [s.nsub for s in spectral_solve_batch("kdv", u0s, grid)] == [36, 108, 36, 144]
+        assert [s.nsub for s in spectral_solve_batch("kdv", u0s, grid)] == [46, 138, 46, 183]
         monkeypatch.setattr(spectral_module, "_BLOWUP_LIMIT", 2.0)
         with pytest.raises(SolverError, match=r"blew up by t = 0\.2 ") as info:
             spectral_solve_batch("kdv", u0s, grid)
         assert info.value.row == 1
-        # row 1's own dt, 0.2 / 108, not row 3's 0.2 / 144
-        assert "(dt = 0.001852, internal nx = 256)" in str(info.value)
+        # row 1's own dt, 0.2 / 138, not row 3's 0.2 / 183
+        assert "(dt = 0.001449, internal nx = 256)" in str(info.value)
 
     def test_coefficients_computed_once_per_substep_level(self, monkeypatch):
         # rows with one nsub share their dt, dt_out / nsub, and so their
-        # ETDRK4 coefficients
+        # ETDRK4 and ETD-AB4 coefficients
         calls = []
-        coefficients = spectral_module.etdrk4_coefficients
+        coefficients = spectral_module.etd_coefficients
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return coefficients(*args, **kwargs)
 
-        monkeypatch.setattr(spectral_module, "etdrk4_coefficients", counted)
+        monkeypatch.setattr(spectral_module, "etd_coefficients", counted)
         samples, reference, model = generate_dataset(
             "kdv", 4, InitialConditionSpec.sample(0), 0, default_grid("kdv"))
         rows = samples + [reference, model]
@@ -455,7 +455,7 @@ class TestSpectralBatch:
         nonlinear = -0.5j * k * (np.arange(k.size) < n / 3)
         e_half, e_full, phi = [], [], []
         for dt in (1e-3, 2e-3, 5e-4, 1.5e-3, 1e-3):
-            half, full, weights = spectral_module.etdrk4_coefficients(dt, 1j * k**3)
+            half, full, weights = spectral_module.etd_coefficients(dt, 1j * k**3)
             e_half.append(half)
             e_full.append(full)
             phi.append(weights * nonlinear)
@@ -463,21 +463,30 @@ class TestSpectralBatch:
         phi = np.stack(phi, axis=1)
         x = np.arange(n) * 2.0 * np.pi / n
         v = np.fft.rfft(np.stack([a * np.cos(x + a) for a in (0.5, 1.0, 1.5, 2.0, 2.5)]))
-        hoisted = _kernels_py.spectral_evolve(v, e_half, e_full, phi, 50)
-        assert hoisted.tobytes() == evolve_unhoisted(v, e_half, e_full, phi, 50).tobytes()
+        # rows from a fresh start to a full history, so that the ETDRK4
+        # startup and the ETD-AB4 steps both run, and in one call
+        history = np.zeros((3,) + v.shape, dtype=np.complex128)
+        taken = np.array([5, 3, 2, 1, 0])
+        hoisted = _kernels_py.spectral_evolve(v, e_half, e_full, phi, 50, history, taken)
+        unhoisted = evolve_reference(v, e_half, e_full, phi, 50, history, taken)
+        for got, want in zip(hoisted, unhoisted):
+            assert got.tobytes() == want.tobytes()
 
     def test_contour_weights_approach_small_step_limits(self):
-        # Q -> h/2 and f1, f2, f3 -> h/6 as hL -> 0; hL = 0 exactly for the
-        # mean mode, where the closed forms are 0/0
+        # Q -> h/2 and f1, f2, f3 -> h/6 as hL -> 0, and ETD-AB4's weights
+        # -> those of the fourth-order Adams-Bashforth method; hL = 0
+        # exactly for the mean mode, where the closed forms are 0/0
         h = 0.01
         for symbol in (1j * np.array([0.0, 1e-6, 1e-3]) ** 3, np.array([0.0, -1e-8, -1e-4])):
-            e_half, e_full, weights = spectral_module.etdrk4_coefficients(h, symbol)
+            e_half, e_full, weights = spectral_module.etd_coefficients(h, symbol)
             # the weights are real exactly when the symbol is: kdv's is
             # imaginary, ks's real
             assert np.isrealobj(weights) == np.isrealobj(symbol)
-            q, f1, f2, f3 = weights
+            q, f1, f2, f3, b0, b1, b2, b3 = weights
             np.testing.assert_allclose(e_full, np.exp(h * symbol), rtol=1e-15)
-            for weight, limit in ((q, h / 2), (f1, h / 6), (f2, h / 6), (f3, h / 6)):
+            limits = ((q, h / 2), (f1, h / 6), (f2, h / 6), (f3, h / 6), (b0, 55 * h / 24),
+                      (b1, -59 * h / 24), (b2, 37 * h / 24), (b3, -9 * h / 24))
+            for weight, limit in limits:
                 np.testing.assert_allclose(weight, limit, rtol=1e-6)
                 np.testing.assert_allclose(weight[0], limit, rtol=1e-14)
 
@@ -489,11 +498,11 @@ class TestSpectralBatch:
         stepped = []
 
         def injected(*args):
-            v = evolve(*args)
+            v, history = evolve(*args)
             v[:, 0] = v[:, 0].real + 1j * imag_mean[:len(v)]
             v[:, -1] = v[:, -1].real + 1j * imag_nyquist[:len(v)]
             stepped.append(v.copy())
-            return v
+            return v, history
 
         monkeypatch.setattr(_kernels_py, "spectral_evolve", injected)
         grid = replace(default_grid("kdv"), nx=64, nt=3, t_final=0.2)
@@ -517,10 +526,10 @@ class TestSpectralBatch:
         evolve = _kernels_py.spectral_evolve
 
         def injected(*args):
-            v = evolve(*args)
+            v, history = evolve(*args)
             v[:, 64] = v[:, 64].real + 1j * a
             v[:, 128] = v[:, 128].real + 1j * b
-            return v
+            return v, history
 
         monkeypatch.setattr(_kernels_py, "spectral_evolve", injected)
         grid = replace(default_grid("kdv"), nt=3, t_final=0.2)
@@ -541,6 +550,33 @@ class TestSpectralBatch:
             coarse = spectral_solve(equation, u0, grid)
             fine = spectral_solve(equation, u0, grid, dt=grid.dt_out / coarse.nsub / 8.0)
             assert rel_l2(coarse.final_state, fine.final_state) <= bound, seed
+
+    @pytest.mark.parametrize("equation", ("kdv", "ks"))
+    def test_halving_the_step_cuts_the_error_sixteenfold(self, equation):
+        # ETD-AB4 and its ETDRK4 startup are fourth order: at the default
+        # step, h and h/2 against h/16 at seed 0 read 16.4 (kdv) and 15.9 (ks)
+        grid = default_grid(equation)
+        u0 = generate_initial_condition(InitialConditionSpec.sample(0), grid)
+        coarse = spectral_solve(equation, u0, grid)
+        h = grid.dt_out / coarse.nsub
+        half, fine = (spectral_solve(equation, u0, grid, dt=h / d) for d in (2.0, 16.0))
+        assert (half.nsub, fine.nsub) == (2 * coarse.nsub, 16 * coarse.nsub)
+        ratio = (rel_l2(coarse.final_state, fine.final_state)
+                 / rel_l2(half.final_state, fine.final_state))
+        assert 14.0 <= ratio <= 18.0, ratio
+
+    def test_rows_below_three_substeps_equal_separate_solves(self):
+        # rows at nsub 3, 1, 5 and 2: in each output interval the rows still
+        # starting up are a trailing block, which mixes ETDRK4 and ETD-AB4
+        # rows in one call, and the slowest row takes three intervals to
+        # fill its history
+        grid = Grid1D(length=128.0, nx=100, nt=11, t_final=0.08)
+        wave = np.sin(2.0 * np.pi * grid.x / grid.length)
+        u0s = np.stack([a * wave for a in (3.0, 1.0, 5.0, 2.0)])
+        batch = spectral_solve_batch("kdv", u0s, grid)
+        assert [sol.nsub for sol in batch] == [3, 1, 5, 2]
+        for b, u0 in zip(batch, u0s):
+            assert_same_solution(b, spectral_solve("kdv", u0, grid))
 
     @pytest.mark.parametrize("equation", ("kdv", "ks"))
     def test_masked_row_follows_standalone_solve(self, equation):
